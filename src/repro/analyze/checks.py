@@ -45,6 +45,7 @@ from repro.analyze.liveness import LiveState, SlotLiveness, after_states
 from repro.isa.opcodes import Opcode, falls_through
 from repro.isa.registers import FP_RETVAL, INT_RETVAL, Imm, RClass
 from repro.rc.abstract import AbstractMap
+from repro.rc.models import HOME_RESET_OPS
 from repro.sim.config import MachineConfig
 from repro.sim.program import MachineProgram
 
@@ -169,7 +170,7 @@ class _Checker(ForwardAnalysis):
                                      index if rp != ri else None)
             return state
 
-        if op in (Opcode.CALL, Opcode.RET):
+        if op in HOME_RESET_OPS:
             for m in state.maps.values():
                 m.reset_home()
             if op is Opcode.CALL:

@@ -12,11 +12,13 @@ framework.  States are immutable triples of int bitmasks
 
 Slot gen/kill is purely syntactic (operand indices plus the reset model), so
 the slot component is exact with respect to the simulator: a read through a
-mapped index uses its read-map slot, a write uses its write-map slot and
-then applies the model's automatic reset (section 2.3) — under model 3 the
-write-map value flows into the read map, which the backward transfer mirrors
-by transferring read-map liveness onto the write map.  ``CALL``/``RET``
-reset every entry to home (section 4.1), killing all slots.
+mapped index uses its read-map slot, a write uses its write-map slot, and
+then the model's moves apply (section 2.3, :mod:`repro.rc.models`).  The
+backward transfer walks each move in reverse: a live destination slot is
+killed, and liveness flows onto the source slot when the source is a map —
+under model 3 the write-map value flows into the read map, so read-map
+liveness transfers onto the write map.  ``CALL``/``RET`` reset every entry
+to home (section 4.1), killing all slots.
 
 Extended-register liveness needs the *forward* map fixpoint to know which
 physical registers a mapped access resolves to, so callers pass
@@ -31,7 +33,7 @@ from repro.analyze.cfg import FuncCFG
 from repro.analyze.dataflow import BackwardAnalysis, reg_bit
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import RClass
-from repro.rc.models import RCModel
+from repro.rc.models import HOME_RESET_OPS, READ, WRITE
 from repro.sim.config import MachineConfig
 from repro.sim.program import MachineProgram
 
@@ -52,7 +54,14 @@ class SlotLiveness(BackwardAnalysis):
                  ext_def: dict[int, int] | None = None) -> None:
         self.program = program
         self.config = config
-        self.model = config.rc_model
+        # The model's moves, reversed, over slot-mask positions
+        # (0 read map, 1 write map, None home).
+        model = config.rc_model
+        pos = {READ: 0, WRITE: 1}
+        self._undo_write = tuple((pos[d], pos.get(s))
+                                 for d, s in reversed(model.on_write))
+        self._undo_read = tuple((pos[d], pos.get(s))
+                                for d, s in reversed(model.on_read))
         self.entries = {
             cls: (config.spec_for(cls).core
                   if config.spec_for(cls).has_rc else 0)
@@ -107,56 +116,51 @@ class SlotLiveness(BackwardAnalysis):
                     wmap &= ~bit
             return (rmap, wmap, ext)
 
-        if op in (Opcode.CALL, Opcode.RET):
+        if op in HOME_RESET_OPS:
             # Both endpoints reset every entry to home: the callee starts
             # from home maps, so no caller slot is observed, and every slot
             # is redefined before the next instruction runs.
             return (0, 0, ext | self.ext_use.get(index, 0))
 
+        # Generic instruction.  Forward order is: resolve reads through the
+        # read map and the write through the write map (``mfmap`` observes
+        # its slot here too), apply the model's moves after each read,
+        # execute, apply the moves after the write.  Undo each in reverse.
+        entries = self.entries
+        live = [rmap, wmap]
+        dest = instr.dest
+        dest_bit = 0
+        if dest is not None and dest.num < entries.get(dest.cls, 0):
+            dest_bit = 1 << reg_bit(dest.cls, dest.num)
+            for dst, src in self._undo_write:
+                if live[dst] & dest_bit:
+                    live[dst] &= ~dest_bit
+                    if src is not None:
+                        live[src] |= dest_bit
+
+        ext &= ~self.ext_def.get(index, 0)
+
+        src_bits = [1 << reg_bit(src.cls, src.num)
+                    for src in instr.reg_srcs()
+                    if src.num < entries.get(src.cls, 0)]
+        for bit in src_bits:
+            for dst, src in self._undo_read:
+                if live[dst] & bit:
+                    live[dst] &= ~bit
+                    if src is not None:
+                        live[src] |= bit
+        rmap, wmap = live
+        wmap |= dest_bit
+        for bit in src_bits:
+            rmap |= bit
         if op is Opcode.MFMAP:
             rclass, idx, which = instr.imm
-            if idx < self.entries.get(rclass, 0):
+            if idx < entries.get(rclass, 0):
                 bit = 1 << reg_bit(rclass, idx)
                 if which == "read":
                     rmap |= bit
                 else:
                     wmap |= bit
-
-        # Generic instruction.  Forward order is: resolve reads through the
-        # read map, model-5 after-read resets, execute, write through the
-        # write map, model after-write reset.  Undo each in reverse.
-        dest = instr.dest
-        if dest is not None:
-            entries = self.entries.get(dest.cls, 0)
-            if dest.num < entries:
-                bit = 1 << reg_bit(dest.cls, dest.num)
-                model = self.model
-                # Undo the automatic after-write reset (a definition of the
-                # affected slots), then mark the write's own use of the
-                # write-map slot.
-                if model in (RCModel.WRITE_RESET, RCModel.READ_RESET):
-                    wmap &= ~bit
-                elif model is RCModel.WRITE_RESET_READ_UPDATE:
-                    wmap &= ~bit
-                    if rmap & bit:
-                        # read[d] := write[d]: the write-map value flows
-                        # into the live read map.
-                        wmap |= bit
-                        rmap &= ~bit
-                elif model is RCModel.READ_WRITE_RESET:
-                    rmap &= ~bit
-                    wmap &= ~bit
-                wmap |= bit
-
-        ext &= ~self.ext_def.get(index, 0)
-
-        if self.model.resets_read_map_on_read:
-            for src in instr.reg_srcs():
-                if src.num < self.entries.get(src.cls, 0):
-                    rmap &= ~(1 << reg_bit(src.cls, src.num))
-        for src in instr.reg_srcs():
-            if src.num < self.entries.get(src.cls, 0):
-                rmap |= 1 << reg_bit(src.cls, src.num)
 
         ext |= self.ext_use.get(index, 0)
         return (rmap, wmap, ext)

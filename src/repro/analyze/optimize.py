@@ -40,6 +40,7 @@ from repro.isa.instruction import Instr, connect_def, connect_use
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import RClass
 from repro.rc.abstract import AbstractMap
+from repro.rc.models import HOME_RESET_OPS
 from repro.sim.config import MachineConfig
 from repro.sim.program import MachineProgram
 
@@ -146,7 +147,7 @@ class _MapState(ForwardAnalysis):
                         amap.connect(which, ri, rp, None)
             return state
         op = instr.op
-        if op in (Opcode.CALL, Opcode.RET):
+        if op in HOME_RESET_OPS:
             for amap in state.values():
                 amap.reset_home()
             return state

@@ -341,8 +341,10 @@ def apply_allocation(fn: Function, result: AllocationResult,
                             match = ns
                             break
                     if match is None:
-                        reusable = [t for t in in_use if t.cls is dest.cls]
-                        match = reusable[0] if reusable else None
+                        # Lowest-numbered, so the pick never depends on
+                        # set iteration order (string hashes are seeded).
+                        match = min((t for t in in_use if t.cls is dest.cls),
+                                    key=lambda t: t.num, default=None)
                     temp = match or temps.take(dest.cls, in_use)
                     op = (Opcode.STORE if dest.cls is RClass.INT
                           else Opcode.FSTORE)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from repro.ir.bitset import bit_liveness
 from repro.ir.function import Function
-from repro.ir.liveness import LivenessInfo
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import VReg
 
@@ -34,26 +33,16 @@ class InterferenceGraph:
         return b in self.adj.get(a, ())
 
 
-def build_interference(fn: Function,
-                       info: LivenessInfo | None = None) -> InterferenceGraph:
+def build_interference(fn: Function) -> InterferenceGraph:
     """Build the interference graph for *fn*.
 
     A definition interferes with everything live after it, with the classic
     exception that the destination of a copy does not interfere with its
     source.  Parameters are treated as defined on function entry.
 
-    The default path accumulates adjacency as int bitmasks over the dense
-    numbering of :mod:`repro.ir.bitset` and materializes the ``VReg`` sets
-    once at the end.  Passing a set-based *info* selects the original
-    pairwise ``add_edge`` construction, kept as the executable reference
-    for the property tests; both produce identical graphs.
+    Adjacency accumulates as int bitmasks over the dense numbering of
+    :mod:`repro.ir.bitset` and the ``VReg`` sets materialize once at the end.
     """
-    if info is not None:
-        return _build_from_sets(fn, info)
-    return _build_from_masks(fn)
-
-
-def _build_from_masks(fn: Function) -> InterferenceGraph:
     binfo = bit_liveness(fn)
     index = binfo.index
     idx = index.index
@@ -96,35 +85,4 @@ def _build_from_masks(fn: Function) -> InterferenceGraph:
             si.add(vj)
             gadj[vj].add(vi)
             m ^= low
-    return graph
-
-
-def _build_from_sets(fn: Function, info: LivenessInfo) -> InterferenceGraph:
-    graph = InterferenceGraph()
-    for v in fn.vregs():
-        graph.ensure(v)
-
-    entry_live = info.live_in[fn.entry.name] | set(fn.params)
-    params = list(fn.params)
-    for i, p in enumerate(params):
-        for q in params[i + 1:]:
-            graph.add_edge(p, q)
-        for other in entry_live:
-            if other != p:
-                graph.add_edge(p, other)
-
-    for block in fn.blocks:
-        after = info.live_across_instr(block)
-        for i, instr in enumerate(block.instrs):
-            dest = instr.dest
-            if not isinstance(dest, VReg):
-                continue
-            copy_src = None
-            if instr.op in (Opcode.MOVE, Opcode.FMOV):
-                src = instr.srcs[0]
-                if isinstance(src, VReg):
-                    copy_src = src
-            for live in after[i]:
-                if live is not dest and live != copy_src:
-                    graph.add_edge(dest, live)
     return graph

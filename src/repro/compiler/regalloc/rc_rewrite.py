@@ -23,7 +23,7 @@ Index selection uses two pools:
   non-window indices at their home locations.
 
 Write-map redirection through stolen indices is only done under models that
-reset the write map after a write (models 2-4); model 1 (no reset) uses the
+reset the write map after a write (models 2-5); model 1 (no reset) uses the
 reserved windows exclusively.
 
 Finally, adjacent connect pairs are merged into the combined
@@ -43,7 +43,7 @@ from repro.isa.instruction import (
 )
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import PhysReg, RClass
-from repro.rc.models import RCModel
+from repro.rc.models import HOME, WRITE, RCModel, bind
 
 _STATE_RESET_OPS = {Opcode.CALL, Opcode.RET, Opcode.TRAP, Opcode.RTE,
                     Opcode.MTPSW}
@@ -58,13 +58,17 @@ class ConnectionAllocator:
             raise AllocationError("need at least two connection windows")
         self.windows = list(windows)
         self.steal_pool = [c for c in steal_pool if c not in set(windows)]
-        self.model = model
         all_indices = self.windows + self.steal_pool
         #: Current read/write targets; the home target of index i is i
         #: itself (windows start unknown, which behaves like home for our
         #: purposes: neither is a useful extended connection).
         self.read_t: dict[int, int] = {i: i for i in all_indices}
         self.write_t: dict[int, int] = {i: i for i in all_indices}
+        self._on_write = bind(model.on_write, self.read_t, self.write_t)
+        self._on_read = bind(model.on_read, self.read_t, self.write_t)
+        #: Whether a write through an index re-homes its write map, which
+        #: makes redirecting a stolen index's write map safe.
+        self._write_heals = (WRITE, HOME) in model.on_write
         self._tick = 0
         self._last_used: dict[int, int] = {
             i: n for n, i in enumerate(all_indices)
@@ -99,14 +103,12 @@ class ConnectionAllocator:
 
     def for_write(self, ext: int, eligible_steals, cls: RClass,
                   origin: str) -> tuple[int, Instr | None]:
-        if self.model is RCModel.NO_RESET:
+        if not self._write_heals:
             for i, target in self.write_t.items():
                 if target == ext:
                     self._touch(i)
                     return i, None
-            eligible_steals = ()  # model 1 never self-heals: windows only
-        elif not self.model.resets_write_map:
-            eligible_steals = ()
+            eligible_steals = ()  # writes never self-heal: windows only
         i = self._pick(eligible_steals, set())
         self.write_t[i] = ext
         self._touch(i)
@@ -114,24 +116,15 @@ class ConnectionAllocator:
 
     def after_write(self, i: int) -> None:
         """Model transition after a write through index *i* (section 2.3)."""
-        if i not in self.read_t:
-            return  # reserved registers are never redirected
-        model = self.model
-        if model is RCModel.NO_RESET:
-            return
-        if model in (RCModel.WRITE_RESET, RCModel.READ_RESET):
-            self.write_t[i] = i
-        elif model is RCModel.WRITE_RESET_READ_UPDATE:
-            self.read_t[i] = self.write_t[i]
-            self.write_t[i] = i
-        else:  # READ_WRITE_RESET
-            self.read_t[i] = i
-            self.write_t[i] = i
+        if i in self.read_t:  # reserved registers are never redirected
+            for dst, src in self._on_write:
+                dst[i] = i if src is None else src[i]
 
     def after_read(self, i: int) -> None:
         """Model transition after a read through index *i* (model 5)."""
-        if i in self.read_t and self.model.resets_read_map_on_read:
-            self.read_t[i] = i
+        if i in self.read_t:
+            for dst, src in self._on_read:
+                dst[i] = i if src is None else src[i]
 
     def restores(self, cls: RClass) -> list[Instr]:
         """Connects that re-home every stolen index still redirected."""
@@ -247,10 +240,6 @@ def insert_connects(fn: Function, cls: RClass, core_size: int,
             if (isinstance(final_dest, PhysReg) and final_dest.cls is cls
                     and final_dest.num < core_size):
                 alloc.after_write(final_dest.num)
-        if block.terminator is None or not block.terminator.is_branch:
-            # Blocks ending in HALT need no restores (execution stops);
-            # defensive: re-home anything left if the block falls through.
-            pass
         block.instrs = _combine_adjacent_connects(out) if combine else out
     return inserted
 

@@ -8,11 +8,12 @@ Resources tracked:
   never conflict with loads),
 * register-mapping-table entries of the connection windows — a connect
   writes its target map entry; an instruction reading/writing through a
-  window reads that window's read/write map entry, and (per the automatic
-  reset model) a write also rewrites its own entry.  These edges are what
-  keep connects glued in front of their consumers while still letting the
-  scheduler exploit zero-cycle connect latency (a 0-cycle edge permits
-  same-cycle issue in program order).
+  window reads that window's read/write map entry, and the reset model's
+  moves after the access write their destination entry and read their
+  source entry.  These edges are what keep connects glued in front of
+  their consumers while still letting the scheduler exploit zero-cycle
+  connect latency (a 0-cycle edge permits same-cycle issue in program
+  order).
 
 Calls, traps, and PSW manipulation are scheduling barriers.
 """
@@ -25,10 +26,13 @@ from repro.isa.instruction import Instr
 from repro.isa.latency import LatencyModel
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import Imm, PhysReg, RClass
-from repro.rc.models import RCModel
+from repro.rc.models import HOME_RESET_OPS, READ, WRITE, RCModel
 
 _BARRIERS = {Opcode.CALL, Opcode.RET, Opcode.TRAP, Opcode.RTE,
              Opcode.MTPSW, Opcode.MFPSW, Opcode.MFMAP, Opcode.HALT}
+
+#: Map-entry pseudo-resource tag of each map.
+_TAG = {READ: "rmap", WRITE: "wmap"}
 
 
 @dataclass
@@ -55,10 +59,22 @@ class DepGraph:
                  windows: dict[RClass, list[int]] | None = None) -> None:
         self.nodes = [DepNode(i, ins) for i, ins in enumerate(instrs)]
         self._latency = latency
-        self._model = rc_model
         self._windows = {
             cls: set(w) for cls, w in (windows or {}).items()
         }
+        #: Window-emulation state, keyed by ``(rclass, index)``.
+        self._read_map: dict = {}
+        self._write_map: dict = {}
+        maps = {READ: self._read_map, WRITE: self._write_map}
+
+        def bind(moves):
+            # (destination tag, destination map, source tag or None,
+            #  source map or None for home)
+            return tuple((_TAG[d], maps[d], _TAG.get(s), maps.get(s))
+                         for d, s in moves)
+
+        self._on_write = bind(rc_model.on_write)
+        self._on_read = bind(rc_model.on_read)
         self._build()
 
     # -- resource footprints --------------------------------------------------
@@ -72,14 +88,16 @@ class DepGraph:
     def _is_window(self, reg: PhysReg) -> bool:
         return reg.num in self._windows.get(reg.cls, ())
 
-    def _footprint(self, instr: Instr, read_map: dict, write_map: dict):
-        """Return (reads, writes) resource-key sets for *instr*.
-
-        ``read_map``/``write_map`` are the window-emulation state, keyed by
-        ``(rclass, index)`` and updated in place.
-        """
+    def _footprint(self, instr: Instr):
+        """Return (reads, writes) resource-key sets for *instr*, updating
+        the window emulation in program order: resolve the sources and the
+        destination, then apply the model's moves after the reads and after
+        the write."""
+        read_map = self._read_map
+        write_map = self._write_map
         reads: set = set()
         writes: set = set()
+        windows_read = []
         for s in instr.srcs:
             if isinstance(s, Imm):
                 continue
@@ -87,34 +105,23 @@ class DepGraph:
                 phys = read_map.get((s.cls, s.num), s.num)
                 reads.add(PhysReg(s.cls, phys))
                 reads.add(("rmap", s.cls, s.num))
-                if self._model.resets_read_map_on_read:
-                    # Model 5: a read consumes its connection.
-                    writes.add(("rmap", s.cls, s.num))
-                    read_map[(s.cls, s.num)] = s.num
+                windows_read.append(s)
             else:
                 reads.add(s)
         dest = instr.dest
+        window_dest = None
         if dest is not None:
             if isinstance(dest, PhysReg) and self._is_window(dest):
-                key = (dest.cls, dest.num)
-                phys = write_map.get(key, dest.num)
+                phys = write_map.get((dest.cls, dest.num), dest.num)
                 writes.add(PhysReg(dest.cls, phys))
                 reads.add(("wmap", dest.cls, dest.num))
-                if self._model.resets_write_map:
-                    writes.add(("wmap", dest.cls, dest.num))
-                if self._model.updates_read_map:
-                    writes.add(("rmap", dest.cls, dest.num))
-                # Apply the automatic reset to the emulation state.
-                if self._model is RCModel.WRITE_RESET_READ_UPDATE:
-                    read_map[key] = write_map.get(key, dest.num)
-                    write_map[key] = dest.num
-                elif self._model in (RCModel.WRITE_RESET, RCModel.READ_RESET):
-                    write_map[key] = dest.num
-                elif self._model is RCModel.READ_WRITE_RESET:
-                    read_map[key] = dest.num
-                    write_map[key] = dest.num
+                window_dest = dest
             else:
                 writes.add(dest)
+        for s in windows_read:
+            self._move(self._on_read, s, reads, writes)
+        if window_dest is not None:
+            self._move(self._on_write, window_dest, reads, writes)
         if instr.is_connect:
             for rclass, which, idx, phys in instr.connect_updates():
                 key = ("rmap" if which == "read" else "wmap", rclass, idx)
@@ -124,6 +131,19 @@ class DepGraph:
                 else:
                     write_map[(rclass, idx)] = phys
         return reads, writes
+
+    @staticmethod
+    def _move(moves, reg: PhysReg, reads: set, writes: set) -> None:
+        """Apply *moves* for an access through window *reg*: each writes
+        its destination entry and reads a map source."""
+        key = (reg.cls, reg.num)
+        for dtag, dmap, stag, smap in moves:
+            writes.add((dtag, reg.cls, reg.num))
+            if smap is None:
+                dmap[key] = reg.num
+            else:
+                reads.add((stag, reg.cls, reg.num))
+                dmap[key] = smap.get(key, reg.num)
 
     @staticmethod
     def _mem_key(instr: Instr, reg_version: dict) -> tuple | None:
@@ -166,15 +186,13 @@ class DepGraph:
         reg_version: dict = {}
         mem_ops: list[tuple] = []  # (node, is_store, key, region tag)
         barrier: DepNode | None = None
-        read_map: dict = {}
-        write_map: dict = {}
 
         for node in self.nodes:
             instr = node.instr
-            if instr.op in (Opcode.CALL, Opcode.RET):
-                read_map.clear()   # jsr/rts reset the map to home
-                write_map.clear()
-            reads, writes = self._footprint(instr, read_map, write_map)
+            if instr.op in HOME_RESET_OPS:
+                self._read_map.clear()
+                self._write_map.clear()
+            reads, writes = self._footprint(instr)
 
             if barrier is not None:
                 barrier.add_edge_to(node, 1)

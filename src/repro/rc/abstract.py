@@ -4,8 +4,8 @@ Mirrors :class:`~repro.rc.mapping_table.MappingTable` over sets: each map
 entry abstracts to a *set* of ``(phys, site)`` pairs — every physical
 register the entry may name on some path, tagged with the instruction index
 of the connect that established it (``None`` for the home location and for
-automatic model resets).  The per-model transfer functions (``after_write``,
-``after_read``) apply the exact reset semantics of paper section 2.3 to the
+automatic model resets).  The transfer functions (``after_write``,
+``after_read``) apply the model's moves (:mod:`repro.rc.models`) to the
 abstract entries, and ``join`` is set union over paths.
 
 The site tags exist so the static checker can tell which connect
@@ -15,7 +15,7 @@ rule RC003) without a separate reaching-definitions pass.
 
 from __future__ import annotations
 
-from repro.rc.models import RCModel
+from repro.rc.models import RCModel, bind
 
 #: One abstract map entry: every (phys, connect-site) the entry may hold.
 Entry = frozenset[tuple[int, int | None]]
@@ -32,7 +32,7 @@ class AbstractMap:
     home location on every path.
     """
 
-    __slots__ = ("entries", "model", "read", "write")
+    __slots__ = ("entries", "model", "read", "write", "_on_write", "_on_read")
 
     def __init__(self, entries: int, model: RCModel,
                  read: dict[int, Entry] | None = None,
@@ -41,6 +41,8 @@ class AbstractMap:
         self.model = model
         self.read: dict[int, Entry] = read if read is not None else {}
         self.write: dict[int, Entry] = write if write is not None else {}
+        self._on_write = bind(model.on_write, self.read, self.write)
+        self._on_read = bind(model.on_read, self.read, self.write)
 
     # -- lookups -------------------------------------------------------------
 
@@ -66,22 +68,18 @@ class AbstractMap:
 
     # -- automatic resets (paper section 2.3) --------------------------------
 
+    def _move(self, moves, index: int) -> None:
+        for dst, src in moves:
+            if src is None:
+                dst.pop(index, None)
+            else:
+                self._set(dst, index, src.get(index, home(index)))
+
     def after_write(self, index: int) -> None:
-        model = self.model
-        if model is RCModel.NO_RESET:
-            return
-        if model in (RCModel.WRITE_RESET, RCModel.READ_RESET):
-            self.write.pop(index, None)
-        elif model is RCModel.WRITE_RESET_READ_UPDATE:
-            self._set(self.read, index, self.write_entry(index))
-            self.write.pop(index, None)
-        else:  # READ_WRITE_RESET
-            self.read.pop(index, None)
-            self.write.pop(index, None)
+        self._move(self._on_write, index)
 
     def after_read(self, index: int) -> None:
-        if self.model.resets_read_map_on_read:
-            self.read.pop(index, None)
+        self._move(self._on_read, index)
 
     def reset_home(self) -> None:
         """CALL/RET semantics (section 4.1): every entry back to home."""

@@ -15,13 +15,14 @@ section 3), which guarantees the two never disagree about reset semantics.
 from __future__ import annotations
 
 from repro.errors import SimulationError
-from repro.rc.models import DEFAULT_MODEL, RCModel
+from repro.rc.models import DEFAULT_MODEL, RCModel, bind
 
 
 class MappingTable:
     """An ``m``-entry register mapping table with read and write maps."""
 
-    __slots__ = ("entries", "num_physical", "model", "read_map", "write_map")
+    __slots__ = ("entries", "num_physical", "model", "read_map", "write_map",
+                 "_on_write", "_on_read")
 
     def __init__(self, entries: int, num_physical: int,
                  model: RCModel = DEFAULT_MODEL) -> None:
@@ -34,6 +35,9 @@ class MappingTable:
         self.model = model
         self.read_map = list(range(entries))
         self.write_map = list(range(entries))
+        # The model's moves over these two lists (always updated in place).
+        self._on_write = bind(model.on_write, self.read_map, self.write_map)
+        self._on_read = bind(model.on_read, self.read_map, self.write_map)
 
     # -- lookups -------------------------------------------------------------
 
@@ -73,27 +77,17 @@ class MappingTable:
         else:
             self.connect_def(index, phys)
 
-    # -- automatic connection on register writes (section 2.3) ----------------
+    # -- automatic connection (section 2.3) ------------------------------------
 
     def after_write(self, index: int) -> None:
         """Apply the model's automatic reset after a write through *index*."""
-        model = self.model
-        if model is RCModel.NO_RESET:
-            return
-        if model in (RCModel.WRITE_RESET, RCModel.READ_RESET):
-            self.write_map[index] = index
-        elif model is RCModel.WRITE_RESET_READ_UPDATE:
-            self.read_map[index] = self.write_map[index]
-            self.write_map[index] = index
-        else:  # READ_WRITE_RESET
-            self.read_map[index] = index
-            self.write_map[index] = index
+        for dst, src in self._on_write:
+            dst[index] = index if src is None else src[index]
 
     def after_read(self, index: int) -> None:
-        """Apply the model's automatic reset after a read through *index*
-        (only model 5, READ_RESET, does anything here)."""
-        if self.model.resets_read_map_on_read:
-            self.read_map[index] = index
+        """Apply the model's automatic reset after a read through *index*."""
+        for dst, src in self._on_read:
+            dst[index] = index if src is None else src[index]
 
     # -- whole-table operations ------------------------------------------------
 

@@ -1,7 +1,12 @@
-"""The four automatic register connection models (paper section 2.3).
+"""The automatic register connection models (paper section 2.3), as one table.
 
-After an instruction writes a register through map index ``Rix``, the
-hardware may automatically adjust the mapping table entry of ``Rix``:
+After an instruction accesses a register through map index ``Rix``, the
+hardware may automatically adjust the mapping table entry of ``Rix``.  Each
+model is a row of *map moves*: ``(destination, source)`` pairs applied in
+order, each setting ``destination[Rix] := source[Rix]``, where a map is
+``READ`` or ``WRITE`` and the source ``HOME`` is the home location ``Rpx``
+(index ``Rix`` itself).  ``on_write`` runs after a write through ``Rix``,
+``on_read`` after a read through it.
 
 1. **NO_RESET** — the map is unchanged; only explicit connects modify it.
 2. **WRITE_RESET** — the write map is reset to the home location
@@ -24,34 +29,54 @@ paper."  We implement one such strategy as model 5:
    write reset.  Every access to an extended register then needs its own
    connect, which quantifies how much the paper's sticky read connections
    are worth.
+
+Independently of the model, ``CALL`` and ``RET`` reset every entry to its
+home location (section 4.1): :data:`HOME_RESET_OPS`.
+
+Every consumer — the hardware table, the abstract map, the compiler's map
+emulations, slot liveness and the three simulators — derives its own form
+from these rows once, so a new model is one row.  Within a row, moves that
+copy a map come before moves that reset to home (the generic-maps codegen
+in :mod:`repro.sim.fastpath` relies on that order).
 """
 
 from __future__ import annotations
 
 import enum
 
+from repro.isa.opcodes import Opcode
+
+READ, WRITE, HOME = "read", "write", "home"
+
+#: One map move ``(destination, source)``: ``destination[i] := source[i]``.
+Move = tuple[str, str]
+
+#: Opcodes that reset every map entry to home under every model.
+HOME_RESET_OPS = frozenset({Opcode.CALL, Opcode.RET})
+
 
 class RCModel(enum.Enum):
-    NO_RESET = 1
-    WRITE_RESET = 2
-    WRITE_RESET_READ_UPDATE = 3
-    READ_WRITE_RESET = 4
-    READ_RESET = 5
+    #                          number, on write, on read
+    NO_RESET = (1, ())
+    WRITE_RESET = (2, ((WRITE, HOME),))
+    WRITE_RESET_READ_UPDATE = (3, ((READ, WRITE), (WRITE, HOME)))
+    READ_WRITE_RESET = (4, ((READ, HOME), (WRITE, HOME)))
+    READ_RESET = (5, ((WRITE, HOME),), ((READ, HOME),))
 
-    @property
-    def resets_write_map(self) -> bool:
-        return self is not RCModel.NO_RESET
+    def __new__(cls, number: int, on_write: tuple[Move, ...],
+                on_read: tuple[Move, ...] = ()) -> "RCModel":
+        member = object.__new__(cls)
+        member._value_ = number
+        member.on_write = on_write
+        member.on_read = on_read
+        return member
 
-    @property
-    def updates_read_map(self) -> bool:
-        """Whether a write makes the written value readable through its index."""
-        return self in (RCModel.WRITE_RESET_READ_UPDATE,
-                        RCModel.READ_WRITE_RESET)
 
-    @property
-    def resets_read_map_on_read(self) -> bool:
-        """Whether a read through an index resets its read map (model 5)."""
-        return self is RCModel.READ_RESET
+def bind(moves: tuple[Move, ...], read, write) -> tuple[tuple, ...]:
+    """*moves* with each map name replaced by a consumer's own read/write
+    map object, and ``HOME`` by ``None``."""
+    maps = {READ: read, WRITE: write, HOME: None}
+    return tuple((maps[dst], maps[src]) for dst, src in moves)
 
 
 #: The model evaluated in the paper's experiments.

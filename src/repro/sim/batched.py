@@ -26,12 +26,7 @@ So a gang of N configs partitions into *architectural classes* by
   final architectural state.
 
 Follower state (scoreboards, map busy times, stats counters) is laid out in
-flat per-slot arrays.  Two backends exist behind a feature probe: the
-default pure-Python struct-of-arrays layout, and an optional NumPy layout
-(int64 scoreboards, vectorized signature gathers and memo-effect
-application) used only when NumPy is importable — the repo keeps its
-stdlib-only guarantee.  ``benchmarks/bench_simspeed.py`` measures both and
-records which wins.
+flat per-slot lists.
 
 Followers accelerate hot self-loop blocks with the PR-3 signature idea
 generalized to mapped operands: an iteration's timing effect is memoized
@@ -47,14 +42,13 @@ always bit-exact.
 
 from __future__ import annotations
 
-import os
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 
 from repro.errors import ConfigError, CycleBudgetError, SimulationError
 from repro.isa.registers import RClass
-from repro.rc.models import RCModel
+from repro.rc.models import HOME, READ, RCModel, bind
 from repro.sim.core import (
     K_ALU,
     K_CALL,
@@ -84,18 +78,10 @@ from repro.sim.machine import MachineState
 from repro.sim.stats import SimStats
 
 __all__ = [
-    "BACKEND_ENV",
     "BatchedSimulator",
     "GangOutcome",
-    "numpy_available",
-    "resolve_backend",
     "simulate_gang",
 ]
-
-#: Environment variable selecting the follower state backend.
-BACKEND_ENV = "REPRO_BATCH_BACKEND"
-
-VALID_BACKENDS = ("python", "numpy")
 
 #: Instruction kinds a follower may memoize inside a self-loop block.  Unlike
 #: the PR-3 bundle cache, mapped operands are allowed: the signature carries
@@ -119,43 +105,14 @@ _GANG_MEMO_CAP = 512
 _POISON_MSG = ("cannot resume a simulator after a failed run: "
                "architectural state is no longer consistent")
 
-_np_probe: list | None = None
-
-def numpy_available() -> bool:
-    """Feature probe: is NumPy importable?  Never a hard dependency."""
-    global _np_probe
-    if _np_probe is None:
-        try:
-            import numpy  # noqa: F401 - probe only
-
-            _np_probe = [numpy]
-        except ImportError:  # pragma: no cover - depends on environment
-            _np_probe = []
-    return bool(_np_probe)
-
-
-def _numpy():
-    return _np_probe[0] if numpy_available() else None
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    """Resolve a follower-state backend request.
-
-    ``None``/``""``/``"auto"`` defer to :data:`BACKEND_ENV` and fall back to
-    the pure-Python layout (the default: no dependency, and the benchmark
-    records which backend actually wins).  ``"numpy"`` requires NumPy to be
-    importable.
-    """
-    if backend in (None, "", "auto"):
-        backend = os.environ.get(BACKEND_ENV, "").strip() or "python"
-    if backend not in VALID_BACKENDS:
-        raise ConfigError(
-            f"unknown batched backend {backend!r}; "
-            f"expected one of {VALID_BACKENDS}")
-    if backend == "numpy" and not numpy_available():
-        raise ConfigError(
-            "batched backend 'numpy' requested but numpy is not importable")
-    return backend
+#: The moves of every model: a gang's classes differ only by model and
+#: share the replay tables, so the static slot analysis covers them all.
+#: ``_COPIES`` are the map copies ``(destination is read, source is read)``;
+#: ``_WRITE_DSTS``/``_READ_DSTS`` the maps written after a write/read.
+_COPIES = sorted({(d == READ, s == READ) for m in RCModel
+                  for d, s in m.on_write + m.on_read if s != HOME})
+_WRITE_DSTS = sorted({d == READ for m in RCModel for d, _s in m.on_write})
+_READ_DSTS = sorted({d == READ for m in RCModel for d, _s in m.on_read})
 
 
 @dataclass
@@ -203,12 +160,12 @@ class _Plan:
 def _connect_targets(dec, ient, fent):
     """Mapping-table slots whose content can ever leave its home mapping.
 
-    Only CONNECT writes a non-home value into a map entry; automatic resets
-    write homes, except WRITE_RESET_READ_UPDATE which copies the write-map
-    content into the read map — hence the write→read closure.  Every slot
-    outside this set provably holds its home mapping with zero busy time
-    forever, so signatures/snapshots can skip it (its register timing is
-    covered by the static ready entry for the home register).
+    Only CONNECT writes a non-home value into a map entry; a model's moves
+    write homes or copy one map into the other — hence the closure over
+    ``_COPIES``.  Every slot outside this set provably holds its home
+    mapping with zero busy time forever, so signatures/snapshots can skip it
+    (its register timing is covered by the static ready entry for the home
+    register).
     """
     targ: set = set()
     for d in dec:
@@ -216,8 +173,9 @@ def _connect_targets(dec, ient, fent):
             for rclass, which, idx, phys in d.updates:
                 targ.add((rclass is RClass.INT, which == "read", idx))
     for is_int, is_read, idx in list(targ):
-        if not is_read:
-            targ.add((is_int, True, idx))
+        for dst_read, src_read in _COPIES:
+            if src_read == is_read:
+                targ.add((is_int, dst_read, idx))
     return targ
 
 
@@ -230,11 +188,11 @@ def _block_slots(dec, body, ient, fent, targ):
     slots always map home with no busy time, so the statics entry for the
     home register already captures their timing.  ``map_slots`` extends
     op_slots with targetable entries the block *writes* without reading —
-    connect targets and the read-map entry of a mapped destination
-    (read-updating reset models rewrite it) — so the effect snapshot
-    restores every table entry the block can change.  ``statics`` are
-    physical registers reachable without a live map entry: operand payloads,
-    home locations, connect target registers.
+    connect targets and the entries the models' moves rewrite after an
+    access (the read-map entry of a mapped destination under models 3-4) —
+    so the effect snapshot restores every table entry the block can change.
+    ``statics`` are physical registers reachable without a live map entry:
+    operand payloads, home locations, connect target registers.
     """
     opset: dict = {}
     cnset: dict = {}
@@ -247,17 +205,21 @@ def _block_slots(dec, body, ient, fent, targ):
             if mode == _SRC_IMM:
                 continue
             is_int = mode == _SRC_INT
-            if (payload < (ient if is_int else fent)
-                    and (is_int, True, payload) in targ):
-                opset[(is_int, True, payload)] = True
+            if payload < (ient if is_int else fent):
+                if (is_int, True, payload) in targ:
+                    opset[(is_int, True, payload)] = True
+                for dst_read in _READ_DSTS:
+                    if (is_int, dst_read, payload) in targ:
+                        cnset[(is_int, dst_read, payload)] = True
             stat[(is_int, payload)] = True
         if d.dest is not None:
             is_int, num = d.dest
             if num < (ient if is_int else fent):
                 if (is_int, False, num) in targ:
                     opset[(is_int, False, num)] = True
-                if (is_int, True, num) in targ:
-                    cnset[(is_int, True, num)] = True
+                for dst_read in _WRITE_DSTS:
+                    if (is_int, dst_read, num) in targ:
+                        cnset[(is_int, dst_read, num)] = True
             stat[(is_int, num)] = True
         if d.kind == K_CONNECT:
             for rclass, which, idx, phys in d.updates:
@@ -490,7 +452,7 @@ def _replay_supported(dec) -> bool:
     return True
 
 
-def _replay(ctx: _ReplayContext, cfg, np_mod):
+def _replay(ctx: _ReplayContext, cfg):
     """Timing-only replay of the leader trace under follower config *cfg*.
 
     Mirrors the reference engine's group loop (:meth:`Simulator.run`) branch
@@ -515,17 +477,6 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
     RD = cfg.redirect_penalty
     maxc = cfg.max_cycles
     CL = cfg.latency.connect
-    model = cfg.rc_model
-    read_reset = model.resets_read_map_on_read
-    # after_write behavior, flattened to an int switch.
-    if model is RCModel.NO_RESET:
-        wmode = 0
-    elif model in (RCModel.WRITE_RESET, RCModel.READ_RESET):
-        wmode = 1
-    elif model is RCModel.WRITE_RESET_READ_UPDATE:
-        wmode = 2
-    else:  # READ_WRITE_RESET
-        wmode = 3
     lat = [cfg.latency.of(d.op) for d in dec]
     lmax = max(max(lat, default=0), CL, 1)
     # Signature packing: clamped deltas live in [0, lmax] and map contents
@@ -535,12 +486,8 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
     pk = lmax < 64
 
     # -- per-slot state (struct-of-arrays across the gang) ---------------------
-    if np_mod is not None:
-        iready = np_mod.zeros(cfg.int_spec.total, dtype=np_mod.int64)
-        fready = np_mod.zeros(cfg.fp_spec.total, dtype=np_mod.int64)
-    else:
-        iready = [0] * cfg.int_spec.total
-        fready = [0] * cfg.fp_spec.total
+    iready = [0] * cfg.int_spec.total
+    fready = [0] * cfg.fp_spec.total
     imr_r = [0] * ient
     imr_w = [0] * ient
     fmr_r = [0] * fent
@@ -551,6 +498,12 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
     fwm = list(range(fent))
     home_i = range(ient)
     home_f = range(fent)
+    # The model's moves over the follower's maps (updated in place).
+    model = cfg.rc_model
+    iwrite = bind(model.on_write, irm, iwm)
+    fwrite = bind(model.on_write, frm, fwm)
+    iread = bind(model.on_read, irm, iwm)
+    fread = bind(model.on_read, frm, fwm)
     ra: list[int] = []
     ts: list[tuple[int, int]] = []
     map_en = True
@@ -609,20 +562,8 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
     sseen: dict = {}
 
     def _pack_writes():
-        if np_mod is None:
-            wr = tuple((iready if ii else fready, j, rel)
-                       for ii, j, rel in rec_w)
-        else:
-            wr = (
-                np_mod.array([j for ii, j, _ in rec_w if ii],
-                             dtype=np_mod.int64),
-                np_mod.array([rel for ii, _, rel in rec_w if ii],
-                             dtype=np_mod.int64),
-                np_mod.array([j for ii, j, _ in rec_w if not ii],
-                             dtype=np_mod.int64),
-                np_mod.array([rel for ii, _, rel in rec_w if not ii],
-                             dtype=np_mod.int64),
-            )
+        wr = tuple((iready if ii else fready, j, rel)
+                   for ii, j, rel in rec_w)
         bw = []
         for ii, ir, j, rel in rec_b:
             if ii:
@@ -753,15 +694,8 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
                         seen = None
                         continue
                 # apply the recorded iteration effect
-                if np_mod is None:
-                    for arr, j, rel in e[3]:
-                        arr[j] = cycle + rel
-                else:
-                    iph, irel, fph, frel = e[3]
-                    if len(iph):
-                        iready[iph] = cycle + irel
-                    if len(fph):
-                        fready[fph] = cycle + frel
+                for arr, j, rel in e[3]:
+                    arr[j] = cycle + rel
                 for arr, j, rel in e[4]:
                     arr[j] = cycle + rel
                 for arr, j, ph in e[5]:
@@ -907,15 +841,8 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
                         # Exit cycle bounds every group-start cycle inside
                         # the dispatch, so one budget check covers them all.
                         if cycle + e[0] <= maxc:
-                            if np_mod is None:
-                                for arr, j, rel in e[5]:
-                                    arr[j] = cycle + rel
-                            else:
-                                iph, irel, fph, frel = e[5]
-                                if len(iph):
-                                    iready[iph] = cycle + irel
-                                if len(fph):
-                                    fready[fph] = cycle + frel
+                            for arr, j, rel in e[5]:
+                                arr[j] = cycle + rel
                             for arr, j, rel in e[6]:
                                 arr[j] = cycle + rel
                             for arr, j, ph in e[7]:
@@ -1013,12 +940,17 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
             issued += 1
             if pc == cur_lead:
                 reps -= 1
-            if read_reset and map_en:
+            if iread and map_en:
                 for mode, payload in d.srcs:
-                    if mode == _SRC_INT and payload < ient:
-                        irm[payload] = payload
+                    if mode == _SRC_INT:
+                        if payload < ient:
+                            for dst, src in iread:
+                                dst[payload] = (payload if src is None
+                                                else src[payload])
                     elif mode != _SRC_IMM and payload < fent:
-                        frm[payload] = payload
+                        for dst, src in fread:
+                            dst[payload] = (payload if src is None
+                                            else src[payload])
             advance = True
 
             if kind == K_CBR:
@@ -1132,25 +1064,13 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
                 if dest_is_int:
                     iready[physd] = wb
                     if map_en and num < ient:
-                        if wmode == 1:
-                            iwm[num] = num
-                        elif wmode == 2:
-                            irm[num] = iwm[num]
-                            iwm[num] = num
-                        elif wmode == 3:
-                            irm[num] = num
-                            iwm[num] = num
+                        for dst, src in iwrite:
+                            dst[num] = num if src is None else src[num]
                 else:
                     fready[physd] = wb
                     if map_en and num < fent:
-                        if wmode == 1:
-                            fwm[num] = num
-                        elif wmode == 2:
-                            frm[num] = fwm[num]
-                            fwm[num] = num
-                        elif wmode == 3:
-                            frm[num] = num
-                            fwm[num] = num
+                        for dst, src in fwrite:
+                            dst[num] = num if src is None else src[num]
                 if rec_on:
                     rec_w.append((dest_is_int, physd, wb - rec_c0))
             if advance:
@@ -1160,7 +1080,7 @@ def _replay(ctx: _ReplayContext, cfg, np_mod):
             st0 += next_cycle - cycle
         cycle = next_cycle
 
-    return int(cycle), int(st0), int(st1), int(st2), int(st3)
+    return cycle, st0, st1, st2, st3
 
 
 # -- leader-state cloning -------------------------------------------------------
@@ -1214,12 +1134,11 @@ class BatchedSimulator:
     per-slot fast simulators (the replay is whole-run by construction).
     """
 
-    def __init__(self, program, configs, backend: str | None = None) -> None:
+    def __init__(self, program, configs) -> None:
         if not configs:
             raise ConfigError("batched gang needs at least one config")
         self.program = program
         self.configs = list(configs)
-        self.backend = resolve_backend(backend)
         self._outcomes: list[GangOutcome] | None = None
         self._delegates: list | None = None
         self._poisoned: set[int] = set()
@@ -1306,11 +1225,10 @@ class BatchedSimulator:
         ctx = _ReplayContext(self.program, dec, trace, ient, fent,
                              tables=self._shared_tables.get(tkey))
         self._shared_tables[tkey] = ctx.tables
-        np_mod = _numpy() if self.backend == "numpy" else None
         for s in followers:
             cfg = configs[s]
             try:
-                cycles, st0, st1, st2, st3 = _replay(ctx, cfg, np_mod)
+                cycles, st0, st1, st2, st3 = _replay(ctx, cfg)
             except Exception as exc:
                 outcomes[s] = GangOutcome(s, cfg, None, exc, True)
                 self._poisoned.add(s)
@@ -1374,7 +1292,6 @@ class BatchedSimulator:
         return fresh
 
 
-def simulate_gang(program, configs, backend: str | None = None,
-                  ) -> list[GangOutcome]:
+def simulate_gang(program, configs) -> list[GangOutcome]:
     """Convenience wrapper: one gang run over *configs*."""
-    return BatchedSimulator(program, configs, backend=backend).run()
+    return BatchedSimulator(program, configs).run()

@@ -333,7 +333,7 @@ class Simulator:
         channels = config.mem_channels
         redirect = config.redirect_penalty
         max_cycles = config.max_cycles
-        read_reset = config.rc_model.resets_read_map_on_read
+        read_reset = bool(config.rc_model.on_read)
         by_category = stats.by_category
         by_origin = stats.by_origin
 
@@ -473,7 +473,8 @@ class Simulator:
                 if obs is not None:
                     obs.on_issue(cycle, pc, issued - 1)
                 if read_reset and map_en:
-                    # Model 5 (READ_RESET): reads are one-shot connections.
+                    # The model's moves after a read (model 5: one-shot
+                    # read connections).
                     for mode, payload in d.srcs:
                         if mode == _SRC_INT and payload < ient:
                             itab.after_read(payload)

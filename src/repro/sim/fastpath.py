@@ -50,7 +50,7 @@ from repro.errors import CycleBudgetError, SimulationError
 from repro.isa.inline import BRANCH_EXPR as _BR_EXPR
 from repro.isa.inline import alu_stmts as _alu_stmts
 from repro.isa.registers import RClass
-from repro.rc.models import RCModel
+from repro.rc.models import DEFAULT_MODEL, HOME, READ, WRITE, RCModel
 from repro.sim.core import (
     K_ALU,
     K_CALL,
@@ -70,7 +70,6 @@ from repro.sim.core import (
     K_TRAP,
     SimResult,
     Simulator,
-    _SRC_FP,
     _SRC_IMM,
     _SRC_INT,
 )
@@ -92,6 +91,45 @@ _BINDABLE = (
     "IMR_R", "IMR_W", "FMR_R", "FMR_W",
     "IC", "ST", "RA", "TS", "PSWO", "MAXC", "IHOME", "FHOME",
 )
+
+
+def _generic_template(event: str):
+    """Generic-maps template for one event (``"on_write"`` or ``"on_read"``).
+
+    Returns ``(moves, gated)``: every move some model applies after the
+    event, copies before home resets (the order every row keeps), and for
+    each move that some model with rules for the event skips, its flag
+    number.  A generic module emits the moves in order, the gated ones
+    under ``M<event letter><number>`` flags.
+    """
+    rows = [getattr(model, event) for model in RCModel]
+    moves = sorted({mv for row in rows for mv in row},
+                   key=lambda mv: (mv[1] == HOME, mv))
+    for row in rows:
+        assert tuple(mv for mv in moves if mv in row) == row, row
+    gated = {mv: i for i, mv in enumerate(moves)
+             if not all(mv in row for row in rows if row)}
+    return moves, gated
+
+
+_GENERIC = {"W": _generic_template("on_write"),
+            "R": _generic_template("on_read")}
+
+#: Generated-code names of the read/write maps, by ``is_int``.
+_MAP_NAMES = {True: {READ: "IRM", WRITE: "IWM"},
+              False: {READ: "FRM", WRITE: "FWM"}}
+
+
+def _generic_flags(model: RCModel) -> dict[str, bool]:
+    """Const flags selecting *model*'s rows inside a generic-maps module:
+    ``MW``/``MR`` (any move after a write/read) and one per gated move."""
+    flags = {}
+    for event, row in (("W", model.on_write), ("R", model.on_read)):
+        flags[f"M{event}"] = bool(row)
+        for mv, i in _GENERIC[event][1].items():
+            flags[f"M{event}{i}"] = mv in row
+    return flags
+
 
 class _Unsupported(Exception):
     """Program shape the generator does not handle; engine falls back."""
@@ -157,14 +195,19 @@ class _Codegen:
         self.CL = config.latency.connect
         self.maxc = config.max_cycles
         self.model = config.rc_model
-        self.read_reset = config.rc_model.resets_read_map_on_read
-        #: Generic-maps mode emits the RC-model map maintenance gated by
-        #: const flags (MWR/MRU/MRR/MRDR) instead of inlining one model's
-        #: lines, so one compiled module serves every model — the batched
-        #: engine's class leaders differ only by model and share it.  The
-        #: flags bind as keyword defaults like every other const, so the
-        #: cost is a LOAD_FAST and branch per mapped writeback.
+        #: Generic-maps mode emits the moves of every RC model gated by
+        #: const flags (see :func:`_generic_flags`) instead of inlining one
+        #: model's lines, so one compiled module serves every model — the
+        #: batched engine's class leaders differ only by model and share it.
+        #: The flags bind as keyword defaults like every other const, so the
+        #: cost is a LOAD_FAST and branch per flag on a mapped access.
         self.generic = generic_maps
+        if generic_maps:
+            self._rules = _GENERIC
+            self._flags = _generic_flags(self.model)
+        else:
+            self._rules = {"W": (self.model.on_write, {}),
+                           "R": (self.model.on_read, {})}
         self.ient = config.int_spec.core if config.int_spec.has_rc else 0
         self.fent = config.fp_spec.core if config.fp_spec.has_rc else 0
         self.lmax = max(max((d.latency for d in decoded), default=0),
@@ -314,47 +357,41 @@ class _Codegen:
         ready = "IREADY" if dest_is_int else "FREADY"
         w(ind + f"{regs}[{dest_expr}] = v")
         w(ind + f"{ready}[{dest_expr}] = cycle + {d.latency}")
-        if not self._mapped(dest_is_int):
-            return
-        rm = "IRM" if dest_is_int else "FRM"
-        wm = "IWM" if dest_is_int else "FWM"
-        if self.generic:
-            self._const("MWR", self.model is not RCModel.NO_RESET)
-            self._const("MRU", self.model is RCModel.WRITE_RESET_READ_UPDATE)
-            self._const("MRR", self.model is RCModel.READ_WRITE_RESET)
-            w(ind + "if map_en and MWR:")
-            w(ind + f"    if MRU: {rm}[{nm}] = {wm}[{nm}]")
-            w(ind + f"    elif MRR: {rm}[{nm}] = {nm}")
-            w(ind + f"    {wm}[{nm}] = {nm}")
-        elif self.model is not RCModel.NO_RESET:
-            if self.model in (RCModel.WRITE_RESET, RCModel.READ_RESET):
-                body = [f"{wm}[{nm}] = {nm}"]
-            elif self.model is RCModel.WRITE_RESET_READ_UPDATE:
-                body = [f"{rm}[{nm}] = {wm}[{nm}]", f"{wm}[{nm}] = {nm}"]
-            else:  # READ_WRITE_RESET
-                body = [f"{rm}[{nm}] = {nm}", f"{wm}[{nm}] = {nm}"]
-            w(ind + "if map_en:")
-            for line in body:
-                w(ind + "    " + line)
+        if self._mapped(dest_is_int):
+            self._emit_moves(w, ind, "W", [d.dest])
 
     def _emit_read_resets(self, w, ind, d) -> None:
-        """Model 5 (READ_RESET): reads are one-shot connections."""
-        if not (self.read_reset or self.generic):
+        """The model's moves after the reads (model 5: one-shot reads)."""
+        if self._rules["R"][0]:
+            self._emit_moves(w, ind, "R", [
+                (mode == _SRC_INT, payload) for mode, payload in d.srcs
+                if mode != _SRC_IMM and self._mapped(mode == _SRC_INT)])
+
+    def _emit_moves(self, w, ind, event: str, operands) -> None:
+        """Emit the moves after an access through each mapped ``(is_int,
+        index)`` operand: *event* ``"W"`` after a write, ``"R"`` after a
+        read.  Generic-maps mode emits every model's moves, gated."""
+        moves, gated = self._rules[event]
+        if not (moves and operands):
             return
-        resets = []
-        for mode, payload in d.srcs:
-            if mode == _SRC_INT and self.ient:
-                resets.append(f"IRM[{payload}] = {payload}")
-            elif mode == _SRC_FP and self.fent:
-                resets.append(f"FRM[{payload}] = {payload}")
-        if resets:
-            if self.generic:
-                self._const("MRDR", self.read_reset)
-                w(ind + "if map_en and MRDR:")
-            else:
-                w(ind + "if map_en:")
-            for line in resets:
-                w(ind + "    " + line)
+        body = []
+        for is_int, idx in operands:
+            names = _MAP_NAMES[is_int]
+            for mv in moves:
+                dst, src = mv
+                value = idx if src == HOME else f"{names[src]}[{idx}]"
+                line = f"{names[dst]}[{idx}] = {value}"
+                if mv in gated:
+                    flag = f"M{event}{gated[mv]}"
+                    line = f"if {self._const(flag, self._flags[flag])}: {line}"
+                body.append(line)
+        if self.generic:
+            flag = f"M{event}"
+            w(ind + f"if map_en and {self._const(flag, self._flags[flag])}:")
+        else:
+            w(ind + "if map_en:")
+        for line in body:
+            w(ind + "    " + line)
 
     # -- group bookkeeping -----------------------------------------------------
 
@@ -778,21 +815,11 @@ def _generate(program, config, decoded):
     return code, consts
 
 
-def _model_flags(model) -> dict[str, bool]:
-    """Const flags selecting one RC model inside a generic-maps module."""
-    return {
-        "MWR": model is not RCModel.NO_RESET,
-        "MRU": model is RCModel.WRITE_RESET_READ_UPDATE,
-        "MRR": model is RCModel.READ_WRITE_RESET,
-        "MRDR": model.resets_read_map_on_read,
-    }
-
-
 def _compiled_generic(program, config, decoded):
     """Like :func:`_compiled`, but the module is generated in generic-maps
     mode and cached under the config *minus its RC model*: one ``compile()``
     serves every model, with the model selected per caller by patching the
-    MWR/MRU/MRR/MRDR consts.  Used by the batched engine, whose gang
+    :func:`_generic_flags` consts.  Used by the batched engine, whose gang
     leaders differ only by model."""
     key = id(program)
     entry = _code_cache.get(key)
@@ -805,7 +832,7 @@ def _compiled_generic(program, config, decoded):
         else:
             entry = (ref, {})
             _code_cache[key] = entry
-    base = dataclasses.replace(config, rc_model=RCModel.NO_RESET)
+    base = dataclasses.replace(config, rc_model=DEFAULT_MODEL)
     if entry is None:  # pragma: no cover - unreachable for real programs
         cached = _generate_generic(program, base, decoded)
     else:
@@ -817,7 +844,7 @@ def _compiled_generic(program, config, decoded):
     if cached is None:
         return None
     code, consts = cached
-    return code, {**consts, **_model_flags(config.rc_model)}
+    return code, {**consts, **_generic_flags(config.rc_model)}
 
 
 def _generate_generic(program, base_config, decoded):

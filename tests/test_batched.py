@@ -18,14 +18,11 @@ from repro.errors import ConfigError, CycleBudgetError, SimulationError
 from repro.isa import Instr, Opcode, PhysReg, RClass
 from repro.rc import RCModel
 from repro.sim import (
-    BACKEND_ENV,
     BatchedSimulator,
     FastSimulator,
     Simulator,
     assemble,
-    numpy_available,
     paper_machine,
-    resolve_backend,
     simulate,
     simulate_gang,
 )
@@ -202,36 +199,6 @@ def test_rerun_returns_same_results():
     second = sim.run()
     for a, b in zip(first, second):
         _assert_slot_equals(b, a.result, f"rerun slot{b.slot}")
-
-
-class TestBackends:
-    def test_resolve_backend_defaults(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend() == "python"
-        assert resolve_backend("auto") == "python"
-        with pytest.raises(ConfigError, match="unknown batched backend"):
-            resolve_backend("turbo")
-
-    def test_resolve_backend_env(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "python")
-        assert resolve_backend() == "python"
-        # an explicit argument beats the environment
-        if numpy_available():
-            assert resolve_backend("numpy") == "numpy"
-
-    @pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
-    def test_numpy_backend_parity(self):
-        name = ALL_BENCHMARKS[0]
-        program = _program(name)
-        configs = _gang_configs(name)
-        py = BatchedSimulator(program, configs, backend="python").run()
-        np_ = BatchedSimulator(program, configs, backend="numpy").run()
-        for a, b in zip(py, np_):
-            assert a.error is None and b.error is None
-            assert a.result.stats == b.result.stats
-            assert a.result.state.memory == b.result.state.memory
-            assert a.result.state.int_regs == b.result.state.int_regs
-            assert a.result.state.fp_regs == b.result.state.fp_regs
 
 
 class TestDispatch:

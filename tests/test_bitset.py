@@ -3,16 +3,20 @@
 Random CFGs — straight-line runs, if/else diamonds, counted loops, dead
 blocks — are checked for exact equality between :mod:`repro.ir.bitset` and
 the executable set-based specifications (:func:`repro.ir.liveness.liveness`
-and the pairwise interference construction, which ``build_interference``
-keeps alive for exactly this purpose).
+and the pairwise interference construction below).
 """
 
 from hypothesis import given, settings, strategies as st
 
-from repro.compiler.regalloc.interference import build_interference
+from repro.compiler.regalloc.interference import (
+    InterferenceGraph,
+    build_interference,
+)
 from repro.ir import FnBuilder, Module
 from repro.ir.bitset import VRegIndex, bit_liveness
 from repro.ir.liveness import liveness
+from repro.isa.opcodes import Opcode
+from repro.isa.registers import VReg
 
 N_VARS = 5
 N_FVARS = 2
@@ -118,12 +122,45 @@ def test_liveness_masks_equal_reference_sets(spec):
         assert [conv(mask) for mask in masks] == ref.live_across_instr(block)
 
 
+def _build_from_sets(fn, info) -> InterferenceGraph:
+    """Pairwise interference over set-based liveness: the specification
+    :func:`build_interference` must match."""
+    graph = InterferenceGraph()
+    for v in fn.vregs():
+        graph.ensure(v)
+
+    entry_live = info.live_in[fn.entry.name] | set(fn.params)
+    params = list(fn.params)
+    for i, p in enumerate(params):
+        for q in params[i + 1:]:
+            graph.add_edge(p, q)
+        for other in entry_live:
+            if other != p:
+                graph.add_edge(p, other)
+
+    for block in fn.blocks:
+        after = info.live_across_instr(block)
+        for i, instr in enumerate(block.instrs):
+            dest = instr.dest
+            if not isinstance(dest, VReg):
+                continue
+            copy_src = None
+            if instr.op in (Opcode.MOVE, Opcode.FMOV):
+                src = instr.srcs[0]
+                if isinstance(src, VReg):
+                    copy_src = src
+            for live in after[i]:
+                if live is not dest and live != copy_src:
+                    graph.add_edge(dest, live)
+    return graph
+
+
 @given(cfg_spec())
 @settings(max_examples=60, deadline=None)
 def test_interference_masks_equal_reference_pairs(spec):
     fn = build_function(spec, with_dead=False)
     mask_graph = build_interference(fn)
-    set_graph = build_interference(fn, liveness(fn))
+    set_graph = _build_from_sets(fn, liveness(fn))
     assert mask_graph.adj == set_graph.adj
 
 

@@ -79,35 +79,6 @@ def test_reset_home_always_restores_identity(model, ops):
     assert all(table.at_home(i) for i in range(ENTRIES))
 
 
-@settings(max_examples=100)
-@given(model_st, index_st, phys_st, phys_st)
-def test_model_reset_semantics_match_figure3(model, idx, rp_read, rp_write):
-    """Cross-check after_write against the paper's Figure 3 definitions."""
-    table = MappingTable(ENTRIES, PHYSICAL, model)
-    table.connect_use(idx, rp_read)
-    table.connect_def(idx, rp_write)
-    table.after_write(idx)
-    if model is RCModel.NO_RESET:
-        assert table.read_target(idx) == rp_read
-        assert table.write_target(idx) == rp_write
-    elif model in (RCModel.WRITE_RESET, RCModel.READ_RESET):
-        assert table.read_target(idx) == rp_read
-        assert table.write_target(idx) == idx
-    elif model is RCModel.WRITE_RESET_READ_UPDATE:
-        assert table.read_target(idx) == rp_write
-        assert table.write_target(idx) == idx
-    else:
-        assert table.read_target(idx) == idx
-        assert table.write_target(idx) == idx
-    # Model 5 additionally consumes read connections on use.
-    table.connect_use(idx, rp_read)
-    table.after_read(idx)
-    if model is RCModel.READ_RESET:
-        assert table.read_target(idx) == idx
-    else:
-        assert table.read_target(idx) == rp_read
-
-
 connect_st = st.builds(
     lambda kind, i, p: (connect_use if kind else connect_def)(RClass.INT, i, p),
     st.booleans(), index_st, phys_st,

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.isa import Opcode
 from repro.rc import (
     DEFAULT_MODEL,
     MappingTable,
@@ -11,6 +12,7 @@ from repro.rc import (
     restore_context,
     save_context,
 )
+from repro.rc.models import HOME, HOME_RESET_OPS, READ, WRITE
 
 
 def table(model=DEFAULT_MODEL, entries=4, physical=12):
@@ -103,11 +105,22 @@ class TestResetModels:
         assert DEFAULT_MODEL is RCModel.WRITE_RESET_READ_UPDATE
 
     def test_model_properties(self):
-        assert not RCModel.NO_RESET.resets_write_map
-        assert RCModel.WRITE_RESET.resets_write_map
-        assert not RCModel.WRITE_RESET.updates_read_map
-        assert RCModel.WRITE_RESET_READ_UPDATE.updates_read_map
-        assert RCModel.READ_WRITE_RESET.updates_read_map
+        """Each row of the table in repro.rc.models, pinned to Figure 3
+        (models 1-4, after a write) plus our model 5 (after a read)."""
+        rows = {m: (m.value, m.on_write, m.on_read) for m in RCModel}
+        assert rows == {
+            RCModel.NO_RESET: (1, (), ()),
+            # Rix_write := Rpx
+            RCModel.WRITE_RESET: (2, ((WRITE, HOME),), ()),
+            # Rix_read := Rix_write; Rix_write := Rpx
+            RCModel.WRITE_RESET_READ_UPDATE:
+                (3, ((READ, WRITE), (WRITE, HOME)), ()),
+            # Rix_read := Rpx; Rix_write := Rpx
+            RCModel.READ_WRITE_RESET: (4, ((READ, HOME), (WRITE, HOME)), ()),
+            # model 2's write reset, and a read consumes its connection
+            RCModel.READ_RESET: (5, ((WRITE, HOME),), ((READ, HOME),)),
+        }
+        assert HOME_RESET_OPS == {Opcode.CALL, Opcode.RET}
 
     def test_model3_read_after_write_sees_written_register(self):
         """Section 3's code example: no connect-use needed after a def."""

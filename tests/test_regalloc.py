@@ -1,5 +1,10 @@
 """Tests for interference, priorities, coloring, spilling, and windows."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.compiler import (
@@ -237,3 +242,29 @@ class TestApplyAllocation:
         for _, instr in fn.iter_instrs():
             for reg in instr.regs():
                 assert not isinstance(reg, VReg)
+
+
+_LISTING = """
+import sys
+from repro.compiler import compile_module
+from repro.isa.asmfmt import format_listing
+from repro.sim import paper_machine
+from repro.workloads import build_workload
+config = paper_machine(issue_width=8, int_core=8, fp_core=16)
+out = compile_module(build_workload("matrix300", 1), config)
+sys.stdout.write(format_listing(out.program.instrs))
+"""
+
+
+def test_compile_output_ignores_hash_seed():
+    """Spill-temp reuse must not follow set iteration order, which depends
+    on the seeded string hash of each register's class name."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    listings = []
+    for seed in ("0", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": str(src)}
+        proc = subprocess.run([sys.executable, "-c", _LISTING], env=env,
+                              capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        listings.append(proc.stdout)
+    assert listings[0] == listings[1]
