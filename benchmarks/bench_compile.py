@@ -15,9 +15,13 @@ Methodology: each (benchmark, engine) point is compiled once cold, then
 ``--repeat`` more times with best-of taken as the warm number.  A separate
 metrics compile per engine collects the per-pass breakdown (reusing
 :class:`~repro.observe.passes.PassMetrics`); it is never the timed run,
-since metrics compiles snapshot IR around every stage.
+since metrics compiles snapshot IR around every stage.  The default
+machine has no extended registers, so a third metrics compile targets the
+connect-optimizer benchmark's machine (16 integer / 16 FP core registers,
+RC on the benchmark's hot class, model 3) and records the per-pass table
+with the ``connect-opt`` stage.
 
-Three hard parity gates, checked on every benchmark:
+Three hard parity gates, checked on every benchmark on both machines:
 
 * the fast engine's :class:`~repro.ir.interp.Profile` equals the
   reference engine's (block, branch, and call counts);
@@ -46,13 +50,21 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from bench_connectopt import _config as _connectopt_config  # noqa: E402
 from repro.compiler import CompileOptions, compile_module  # noqa: E402
 from repro.isa.asmfmt import format_listing  # noqa: E402
 from repro.observe import PassMetrics  # noqa: E402
 from repro.sim import MachineConfig  # noqa: E402
-from repro.workloads import ALL_BENCHMARKS, build_workload  # noqa: E402
+from repro.workloads import (ALL_BENCHMARKS, build_workload,  # noqa: E402
+                             workload)
 
 PARALLEL_JOBS = 4
+
+
+def _rc_config(name: str) -> MachineConfig:
+    """The connect-optimizer benchmark's machine for *name*: model 3 at
+    the paper machine's default issue width."""
+    return _connectopt_config(workload(name).kind, model=3, width=4)
 
 
 def _options(engine: str, jobs: int = 1) -> CompileOptions:
@@ -78,12 +90,9 @@ def _pass_rows(module, config, engine: str) -> list[dict]:
     return metrics.to_rows()
 
 
-def bench_benchmark(name: str, scale: int, repeat: int) -> tuple[dict, list]:
-    module = build_workload(name, scale=scale)
-    config = MachineConfig()
-    problems: list[str] = []
-
-    # Parity gates: engine and job-count invariance of the emitted program.
+def _parity(where: str, module, config) -> tuple[list[str], int]:
+    """Engine and job-count invariance of the program emitted for
+    *config*: (problems, emitted instruction count)."""
     ref_out = compile_module(module, config, _options("reference"))
     fast_out = compile_module(module, config, _options("fast"))
     par_out = compile_module(module, config,
@@ -91,13 +100,24 @@ def bench_benchmark(name: str, scale: int, repeat: int) -> tuple[dict, list]:
     ref_asm = format_listing(ref_out.program.instrs)
     fast_asm = format_listing(fast_out.program.instrs)
     par_asm = format_listing(par_out.program.instrs)
+    problems: list[str] = []
     if ref_out.profile != fast_out.profile:
-        problems.append(f"{name}: fast-engine profile diverges from reference")
+        problems.append(f"{where}: fast-engine profile diverges from "
+                        f"reference")
     if ref_asm != fast_asm:
-        problems.append(f"{name}: assembly differs between IR engines")
+        problems.append(f"{where}: assembly differs between IR engines")
     if fast_asm != par_asm:
-        problems.append(f"{name}: assembly differs between jobs=1 and "
+        problems.append(f"{where}: assembly differs between jobs=1 and "
                         f"jobs={PARALLEL_JOBS}")
+    return problems, len(ref_out.program)
+
+
+def bench_benchmark(name: str, scale: int, repeat: int) -> tuple[dict, list]:
+    module = build_workload(name, scale=scale)
+    config = MachineConfig()
+    rc_config = _rc_config(name)
+    problems, instructions = _parity(name, module, config)
+    problems += _parity(f"{name} (RC machine)", module, rc_config)[0]
 
     ref_cold, ref_warm = _time_compile(module, config, "reference", repeat)
     fast_cold, fast_warm = _time_compile(module, config, "fast", repeat)
@@ -105,7 +125,7 @@ def bench_benchmark(name: str, scale: int, repeat: int) -> tuple[dict, list]:
     point = {
         "benchmark": name,
         "functions": len(module.functions),
-        "instructions": len(ref_out.program),
+        "instructions": instructions,
         "ref_cold_seconds": ref_cold,
         "ref_warm_seconds": ref_warm,
         "fast_cold_seconds": fast_cold,
@@ -114,6 +134,7 @@ def bench_benchmark(name: str, scale: int, repeat: int) -> tuple[dict, list]:
         "speedup_warm": ref_warm / fast_warm,
         "passes_reference": _pass_rows(module, config, "reference"),
         "passes_fast": _pass_rows(module, config, "fast"),
+        "passes_rc": _pass_rows(module, rc_config, "fast"),
     }
     return point, problems
 
@@ -164,6 +185,7 @@ def main(argv=None) -> int:
         "pass_seconds_reference": _aggregate_passes(points,
                                                     "passes_reference"),
         "pass_seconds_fast": _aggregate_passes(points, "passes_fast"),
+        "pass_seconds_rc": _aggregate_passes(points, "passes_rc"),
         "points": points,
     }
     text = json.dumps(report, indent=2)
@@ -180,18 +202,19 @@ def main(argv=None) -> int:
           f"ref {slowest['ref_warm_seconds']:.3f}s, "
           f"fast {slowest['fast_warm_seconds']:.3f}s "
           f"({slowest['speedup_warm']:.2f}x)")
-    for engine in ("reference", "fast"):
-        rows = report[f"pass_seconds_{engine}"]
+    for key, label in (("reference", "reference"), ("fast", "fast"),
+                       ("rc", "fast, RC machine")):
+        rows = report[f"pass_seconds_{key}"]
         top = sorted(rows.items(), key=lambda kv: -kv[1])[:4]
         shown = ", ".join(f"{name} {secs * 1e3:.0f}ms" for name, secs in top)
-        print(f"passes ({engine}): {shown}")
+        print(f"passes ({label}): {shown}")
     if problems:
         print(f"PARITY FAILURES ({len(problems)}):", file=sys.stderr)
         for p in problems:
             print(f"  {p}", file=sys.stderr)
         return 1
     print("parity: OK (profiles equal, assembly byte-identical across "
-          "engines and job counts)")
+          "engines and job counts, default and RC machines)")
     return 0
 
 

@@ -1,0 +1,70 @@
+"""Digest of every RC compile over the figure sweep's machine space.
+
+Compiles each benchmark for every core-size pair of ``SIZE_PAIRS`` (the
+Figure 8/9 sweep), RC models 1-5 and issue widths 1 and 4 (600 compiles),
+and hashes what the compiler emitted: the listing, resolved targets, entry
+point, function ranges and the connect optimizer's report (counts and
+edits).  Two source trees that print the same digest compile every one of
+those points to the same program.
+
+Usage::
+
+    PYTHONHASHSEED=0 PYTHONPATH=src python scripts/compile_digest.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from repro.compiler import compile_module  # noqa: E402
+from repro.experiments.figures import SIZE_PAIRS, _config  # noqa: E402
+from repro.isa.asmfmt import format_listing  # noqa: E402
+from repro.rc import RCModel  # noqa: E402
+from repro.workloads import ALL_BENCHMARKS, workload  # noqa: E402
+
+MODELS = (1, 2, 3, 4, 5)
+WIDTHS = (1, 4)
+
+
+def point_digest(name: str, int_core: int, fp_core: int, model: int,
+                 width: int) -> tuple[str, str]:
+    """(label, sha256) of one compile."""
+    config = _config(name, rc=True, int_core=int_core, fp_core=fp_core,
+                     issue=width, model=RCModel(model))
+    out = compile_module(workload(name).module(1), config)
+    prog, rep = out.program, out.connect_opt
+    h = hashlib.sha256()
+    for part in (format_listing(prog.instrs), prog.targets, prog.entry,
+                 sorted(prog.func_ranges.items())):
+        h.update(repr(part).encode())
+    if rep is not None:
+        h.update(repr((rep.connects_before, rep.connects_after,
+                       rep.removed_dead, rep.removed_redundant, rep.hoisted,
+                       rep.bail_reason,
+                       [(e.kind, e.function, e.index, e.detail)
+                        for e in rep.edits])).encode())
+    label = f"{name} {int_core}/{fp_core} m{model} w{width}"
+    return label, h.hexdigest()
+
+
+def main() -> int:
+    total = hashlib.sha256()
+    count = 0
+    for name in ALL_BENCHMARKS:
+        for int_core, fp_core in SIZE_PAIRS:
+            for model in MODELS:
+                for width in WIDTHS:
+                    label, digest = point_digest(name, int_core, fp_core,
+                                                 model, width)
+                    total.update(f"{label} {digest}\n".encode())
+                    count += 1
+    print(f"{count} compiles: {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,7 +1,8 @@
 """Analysis-driven connect optimizer (post-regalloc machine pass).
 
-Consumes the forward mapping-table abstract interpretation and the backward
-slot liveness to shrink connect traffic in a compiled
+Consumes a forward mapping-table analysis over int masks (one bit per
+physical register an entry may name) and the backward slot liveness to
+shrink connect traffic in a compiled
 :class:`~repro.sim.program.MachineProgram` without changing its
 architectural behaviour:
 
@@ -31,6 +32,7 @@ reason in the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import SimpleNamespace
 
 from repro.analyze.cfg import FuncCFG, ProgramCFG, build_cfg
 from repro.analyze.dataflow import (ForwardAnalysis, reg_bit, solve_backward,
@@ -39,8 +41,7 @@ from repro.analyze.liveness import SlotLiveness, after_states
 from repro.isa.instruction import Instr, connect_def, connect_use
 from repro.isa.opcodes import Opcode
 from repro.isa.registers import RClass
-from repro.rc.abstract import AbstractMap
-from repro.rc.models import HOME_RESET_OPS
+from repro.rc.models import HOME, HOME_RESET_OPS, READ, WRITE
 from repro.sim.config import MachineConfig
 from repro.sim.program import MachineProgram
 
@@ -72,6 +73,8 @@ class ConnectOptReport:
     removed_dead: int = 0
     removed_redundant: int = 0
     hoisted: int = 0
+    #: Hoist candidates tried (inserted and proven or refuted).
+    trials: int = 0
     edits: list[ConnectEdit] = field(default_factory=list)
     #: Why the pass declined to run, or None when it ran.
     bail_reason: str | None = None
@@ -92,7 +95,7 @@ class ConnectOptReport:
                 f"{self.connects_after} static connects "
                 f"({self.removed_dead} dead, "
                 f"{self.removed_redundant} redundant, "
-                f"{self.hoisted} hoisted)")
+                f"{self.hoisted} hoisted, {self.trials} hoist trials)")
         out = [head]
         for e in self.edits:
             out.append(f"  {e.kind:<9} {e.function}@{e.index}: {e.detail}")
@@ -109,58 +112,107 @@ def _static_connects(program: MachineProgram) -> int:
     return sum(1 for i in program.instrs if i.is_connect)
 
 
-class _MapState(ForwardAnalysis):
-    """Forward mapping-table state, site-free (entries collapse by target).
+class _MapMasks(ForwardAnalysis):
+    """Forward mapping-table state as one flat list of int masks.
 
-    Identical transfer semantics to the checker's abstract interpretation
-    but with ``site=None`` on every connect, so an entry that holds physical
-    register *p* compares equal no matter which connect established it —
-    exactly the question redundancy elimination asks.
+    Slot layout: for each register class with a mapping table, its read-map
+    entries, then its write-map entries.  Bit *p* of a slot is set when the
+    entry may name physical register *p* on some path, so home is
+    ``1 << index``, the join is an element-wise OR, and a slot holds exactly
+    *p* on every path when it equals ``1 << p`` — the question redundancy
+    elimination asks.  Unlike the checker's
+    :class:`~repro.rc.abstract.AbstractMap` the state carries no connect
+    sites: an entry holding *p* compares equal whichever connect set it.
+
+    Each instruction's effect is decoded once into ``(destination slot,
+    source slot, mask)`` moves (source ``-1`` sets the destination to
+    *mask*), from the model's rows and :data:`HOME_RESET_OPS`.  The cache is
+    keyed by instruction identity — trial programs share :class:`Instr`
+    objects with the program they were made from — and lives as long as
+    this object: one :func:`optimize_connects` call.
     """
 
     def __init__(self, config: MachineConfig) -> None:
         self.config = config
-        self.entries = {
-            cls: (config.spec_for(cls).core
-                  if config.spec_for(cls).has_rc else 0)
-            for cls in _CLASSES
-        }
+        #: register class -> mapping-table entries (classes with a table).
+        self.entries: dict[RClass, int] = {}
+        #: (register class, READ | WRITE) -> first slot of that map.
+        self._base: dict[tuple[RClass, str], int] = {}
+        home: list[int] = []
+        for cls in _CLASSES:
+            spec = config.spec_for(cls)
+            if not spec.has_rc:
+                continue
+            self.entries[cls] = spec.core
+            for which in (READ, WRITE):
+                self._base[cls, which] = len(home)
+                home.extend(1 << i for i in range(spec.core))
+        self._home = home
+        self._reset = tuple((s, -1, mask) for s, mask in enumerate(home))
+        self._effects: dict[Instr, tuple] = {}
 
-    def boundary(self, fn: FuncCFG) -> dict:
-        return {cls: AbstractMap(n, self.config.rc_model)
-                for cls, n in self.entries.items() if n}
+    def slot(self, cls: RClass, which: str, index: int) -> int | None:
+        """The slot of map entry *which*[*index*], None outside the table."""
+        if index >= self.entries.get(cls, 0):
+            return None
+        return self._base[cls, which] + index
 
-    def join(self, a: dict, b: dict) -> dict:
-        for cls, amap in a.items():
-            amap.join(b[cls])
-        return a
-
-    def copy(self, state: dict) -> dict:
-        return {cls: amap.copy() for cls, amap in state.items()}
-
-    def transfer(self, state: dict, index: int, instr) -> dict:
+    def _decode(self, instr: Instr) -> tuple:
         if instr.is_connect:
-            amap = state.get(instr.imm[0])
-            if amap is not None:
-                for _cls, which, ri, rp in instr.connect_updates():
-                    if ri < amap.entries:
-                        amap.connect(which, ri, rp, None)
-            return state
-        op = instr.op
-        if op in HOME_RESET_OPS:
-            for amap in state.values():
-                amap.reset_home()
-            return state
-        for src in instr.reg_srcs():
-            amap = state.get(src.cls)
-            if amap is not None and src.num < amap.entries:
-                amap.after_read(src.num)
-        dest = instr.dest
-        if dest is not None:
-            amap = state.get(dest.cls)
-            if amap is not None and dest.num < amap.entries:
-                amap.after_write(dest.num)
+            moves = []
+            for cls, which, ri, rp in instr.connect_updates():
+                s = self.slot(cls, which, ri)
+                if s is not None:
+                    moves.append((s, -1, 1 << rp))
+            return tuple(moves)
+        if instr.op in HOME_RESET_OPS:
+            return self._reset
+        model = self.config.rc_model
+        accesses = [(src, model.on_read) for src in instr.reg_srcs()]
+        if instr.dest is not None:
+            accesses.append((instr.dest, model.on_write))
+        moves = []
+        for reg, row in accesses:
+            if reg.num >= self.entries.get(reg.cls, 0):
+                continue
+            for dst, src in row:
+                moves.append((self._base[reg.cls, dst] + reg.num,
+                              -1 if src == HOME
+                              else self._base[reg.cls, src] + reg.num,
+                              1 << reg.num))
+        return tuple(moves)
+
+    def boundary(self, fn: FuncCFG) -> list[int]:
+        return list(self._home)
+
+    def join(self, a: list[int], b: list[int]) -> list[int]:
+        return [x | y for x, y in zip(a, b)]
+
+    def copy(self, state: list[int]) -> list[int]:
+        return list(state)
+
+    def transfer(self, state: list[int], index: int, instr) -> list[int]:
+        effect = self._effects.get(instr)
+        if effect is None:
+            effect = self._effects[instr] = self._decode(instr)
+        for dst, src, mask in effect:
+            state[dst] = mask if src < 0 else state[src]
         return state
+
+    def redundant(self, state: list[int], instr: Instr) -> list[bool | None]:
+        """Per update of connect *instr*: None outside the table, else
+        whether the slot already holds the target in *state* (a combined
+        connect's second update sees its first)."""
+        out: list[bool | None] = []
+        scratch: dict[int, int] = {}
+        for cls, which, ri, rp in instr.connect_updates():
+            s = self.slot(cls, which, ri)
+            if s is None:
+                out.append(None)
+                continue
+            out.append(scratch.get(s, state[s]) == 1 << rp)
+            scratch[s] = 1 << rp
+        return out
 
 
 def _bail_reason(program: MachineProgram,
@@ -178,7 +230,7 @@ def _bail_reason(program: MachineProgram,
 # -- deletion ----------------------------------------------------------------
 
 
-def _classify_drops(program: MachineProgram, config: MachineConfig,
+def _classify_drops(program: MachineProgram, maps: _MapMasks,
                     cfg: ProgramCFG) -> dict[int, tuple[set[int], str]]:
     """Map connect index -> (update positions to drop, position -> kind).
 
@@ -197,9 +249,8 @@ def _classify_drops(program: MachineProgram, config: MachineConfig,
     claimed: set[int] = set()
 
     for fn in cfg.functions:
-        analysis = _MapState(config)
-        fwd = solve_forward(fn, analysis, program.instrs)
-        bwd = solve_backward(fn, SlotLiveness(program, config),
+        fwd = solve_forward(fn, maps, program.instrs)
+        bwd = solve_backward(fn, SlotLiveness(program, maps.config),
                              program.instrs)
         live = after_states(bwd)
         for block in fn.blocks.values():
@@ -207,35 +258,27 @@ def _classify_drops(program: MachineProgram, config: MachineConfig,
             if block.start not in fwd.block_in:
                 continue  # unreachable within the function
 
-            def visit(state: dict, i: int, instr) -> None:
+            def visit(state: list[int], i: int, instr) -> None:
                 if not instr.is_connect:
                     return
                 updates = instr.connect_updates()
                 cls = instr.imm[0]
-                amap = state.get(cls)
-                if amap is None:
+                entries = maps.entries.get(cls, 0)
+                if not entries:
                     return
                 drop: set[int] = set()
                 kinds: dict[int, str] = {}
-                # Redundancy: walk updates forward over a scratch copy so
-                # the second update of a combined connect sees the first.
-                scratch = amap.copy()
-                for pos, (_c, which, ri, rp) in enumerate(updates):
-                    if ri >= scratch.entries:
-                        continue
-                    entry = (scratch.read_entry(ri) if which == "read"
-                             else scratch.write_entry(ri))
-                    if entry == frozenset({(rp, None)}):
+                for pos, redundant in enumerate(maps.redundant(state, instr)):
+                    if redundant:
                         drop.add(pos)
                         kinds[pos] = "redundant"
-                    scratch.connect(which, ri, rp, None)
                 # Deadness: walk updates backward so an earlier same-slot
                 # update is killed by a later one.
                 rmap, wmap, _ext = live[i]
                 redefined: set[tuple[str, int]] = set()
                 for pos in range(len(updates) - 1, -1, -1):
                     _c, which, ri, _rp = updates[pos]
-                    if ri >= scratch.entries:
+                    if ri >= entries:
                         continue
                     bit = 1 << reg_bit(cls, ri)
                     alive = (rmap if which == "read" else wmap) & bit
@@ -322,11 +365,11 @@ def _delete_indices(program: MachineProgram,
     )
 
 
-def _delete_round(program: MachineProgram, config: MachineConfig,
+def _delete_round(program: MachineProgram, maps: _MapMasks,
                   report: ConnectOptReport) -> MachineProgram | None:
     """One deletion round; None when nothing was removable."""
     cfg = build_cfg(program)
-    drops = _classify_drops(program, config, cfg)
+    drops = _classify_drops(program, maps, cfg)
     if not drops:
         return None
 
@@ -373,10 +416,10 @@ def _delete_round(program: MachineProgram, config: MachineConfig,
     return program
 
 
-def _delete_fixpoint(program: MachineProgram, config: MachineConfig,
+def _delete_fixpoint(program: MachineProgram, maps: _MapMasks,
                      report: ConnectOptReport) -> MachineProgram:
     for _ in range(_MAX_DELETE_ROUNDS):
-        nxt = _delete_round(program, config, report)
+        nxt = _delete_round(program, maps, report)
         if nxt is None:
             return program
         program = nxt
@@ -441,8 +484,10 @@ def _preheader(fn: FuncCFG, header: int, body: set[int]) -> int | None:
 
 
 def _insert_at(program: MachineProgram, instr: Instr, p: int,
-               execute_on_jump: bool) -> MachineProgram:
-    """Insert *instr* (no target) at index *p*, shifting the suffix."""
+               execute_on_jump: bool) -> SimpleNamespace:
+    """The unvalidated fields of *program* with *instr* (no target)
+    inserted at index *p*, the suffix shifted; ``replace(program,
+    **vars(trial))`` builds the program."""
 
     def remap(t: int) -> int:
         if t > p or (t == p and not execute_on_jump):
@@ -450,31 +495,30 @@ def _insert_at(program: MachineProgram, instr: Instr, p: int,
         return t
 
     instrs = list(program.instrs)
-    targets = list(program.targets)
     instrs.insert(p, instr)
-    targets_new = [None if t is None else remap(t) for t in targets]
-    targets_new.insert(p, None)
-    return replace(
-        program,
+    targets = [None if t is None else remap(t) for t in program.targets]
+    targets.insert(p, None)
+    return SimpleNamespace(
         instrs=instrs,
-        targets=targets_new,
+        targets=targets,
         entry=remap(program.entry),
         func_ranges={name: (lo + 1 if lo > p else lo,
                             hi + 1 if hi > p else hi)
                      for name, (lo, hi) in program.func_ranges.items()},
         suppressions={(k if k < 0 else (k + 1 if k >= p else k)): v
                       for k, v in program.suppressions.items()},
+        trap_handlers=program.trap_handlers,
     )
 
 
-def _hoist_candidates(program: MachineProgram, config: MachineConfig,
+def _hoist_candidates(program: MachineProgram, maps: _MapMasks,
                       cfg: ProgramCFG):
     """Yield (connect index, preheader insert position, flag, fn name)."""
     for fn in cfg.functions:
         loops = _natural_loops(fn)
         if not loops:
             continue
-        bwd = solve_backward(fn, SlotLiveness(program, config),
+        bwd = solve_backward(fn, SlotLiveness(program, maps.config),
                              program.instrs)
         for header, body in sorted(loops.items()):
             if header == fn.entry or header not in bwd.block_in:
@@ -490,8 +534,7 @@ def _hoist_candidates(program: MachineProgram, config: MachineConfig,
                     if not instr.is_connect:
                         continue
                     cls = instr.imm[0]
-                    spec = config.spec_for(cls)
-                    entries = spec.core if spec.has_rc else 0
+                    entries = maps.entries.get(cls, 0)
                     ok = True
                     for _c, which, ri, _rp in instr.connect_updates():
                         if ri >= entries:
@@ -512,10 +555,15 @@ def _hoist_candidates(program: MachineProgram, config: MachineConfig,
                         yield i, pb.end, False, fn.name
 
 
-def _fully_redundant(program: MachineProgram, config: MachineConfig,
+def _fully_redundant(trial: SimpleNamespace, maps: _MapMasks,
                      index: int) -> bool:
-    """Whether every update of the connect at *index* is a no-op."""
-    cfg = build_cfg(program)
+    """Whether every update of the connect at *index* is a no-op.
+
+    *trial* holds the unvalidated fields of a trial program (instructions,
+    targets, entry, function ranges, trap handlers): enough to recover its
+    CFG without building a :class:`MachineProgram`.
+    """
+    cfg = build_cfg(trial)
     fn = block = None
     for f in cfg.functions:
         for b in f.blocks.values():
@@ -526,34 +574,16 @@ def _fully_redundant(program: MachineProgram, config: MachineConfig,
             break
     if block is None:
         return False
-    analysis = _MapState(config)
-    fwd = solve_forward(fn, analysis, program.instrs)
+    fwd = solve_forward(fn, maps, trial.instrs)
     if block.start not in fwd.block_in:
         return False
-    captured: dict = {}
-
-    def visit(state: dict, i: int, _instr) -> None:
-        if i == index:
-            captured.update(analysis.copy(state))
-
-    fwd.walk(block, visit)
-    instr = program.instrs[index]
-    amap = captured.get(instr.imm[0])
-    if amap is None:
-        return False
-    scratch = amap.copy()
-    for _c, which, ri, rp in instr.connect_updates():
-        if ri >= scratch.entries:
-            return False
-        entry = (scratch.read_entry(ri) if which == "read"
-                 else scratch.write_entry(ri))
-        if entry != frozenset({(rp, None)}):
-            return False
-        scratch.connect(which, ri, rp, None)
-    return True
+    state = maps.copy(fwd.block_in[block.start])
+    for i in range(block.start, index):
+        state = maps.transfer(state, i, trial.instrs[i])
+    return all(maps.redundant(state, trial.instrs[index]))
 
 
-def _hoist_pass(program: MachineProgram, config: MachineConfig,
+def _hoist_pass(program: MachineProgram, maps: _MapMasks,
                 report: ConnectOptReport) -> MachineProgram:
     """Attempt each hoist candidate; commit only verified, non-growing moves.
 
@@ -563,22 +593,24 @@ def _hoist_pass(program: MachineProgram, config: MachineConfig,
     before deleting exactly it and re-running the deletion fixpoint.  The
     explicit redundancy proof is what keeps the pair sound: the inserted
     copy and the original are never judged against each other's absence.
+    The proof runs on the trial's raw fields; a validated program is built
+    only for a trial that passes it.
     """
     trials = 0
     progress = True
     while progress and trials < 200:
         progress = False
         cfg = build_cfg(program)
-        for i, p, eoj, fname in _hoist_candidates(program, config, cfg):
+        before = _static_connects(program)
+        for i, p, eoj, fname in _hoist_candidates(program, maps, cfg):
             trials += 1
-            before = _static_connects(program)
             trial = _insert_at(program, program.instrs[i].copy(), p, eoj)
             orig = i + 1 if i >= p else i
-            if not _fully_redundant(trial, config, orig):
+            if not _fully_redundant(trial, maps, orig):
                 continue
-            trial = _delete_indices(trial, {orig})
+            trial = _delete_indices(replace(program, **vars(trial)), {orig})
             trial_report = ConnectOptReport()
-            trial = _delete_fixpoint(trial, config, trial_report)
+            trial = _delete_fixpoint(trial, maps, trial_report)
             if _static_connects(trial) > before:
                 continue
             report.hoisted += 1
@@ -591,6 +623,7 @@ def _hoist_pass(program: MachineProgram, config: MachineConfig,
             program = trial
             progress = True
             break  # indices shifted: recompute candidates
+    report.trials += trials
     return program
 
 
@@ -606,10 +639,11 @@ def optimize_connects(program: MachineProgram,
         report.connects_after = report.connects_before
         return OptimizeResult(program=program, report=report)
 
-    program = _delete_fixpoint(program, config, report)
+    maps = _MapMasks(config)
+    program = _delete_fixpoint(program, maps, report)
     for _ in range(_MAX_HOIST_PASSES):
         hoists_before = report.hoisted
-        program = _hoist_pass(program, config, report)
+        program = _hoist_pass(program, maps, report)
         if report.hoisted == hoists_before:
             break
     report.connects_after = _static_connects(program)

@@ -27,6 +27,9 @@ def eliminate_common_subexpressions(fn: Function) -> int:
     eliminated = 0
     for block in fn.blocks:
         available: dict[tuple, VReg] = {}
+        # register -> keys recorded as reading it or produced into it; an
+        # entry may be stale (its key killed, or recorded again since).
+        users: dict[VReg, list[tuple]] = {}
         for i, instr in enumerate(block.instrs):
             dest = instr.dest
             if instr.op in _PURE and isinstance(dest, VReg):
@@ -42,14 +45,19 @@ def eliminate_common_subexpressions(fn: Function) -> int:
             if isinstance(dest, VReg):
                 # Kill expressions that used the redefined register (or were
                 # produced into it).
-                stale = [k for k, v in available.items()
-                         if v == dest or ("reg", dest) in k]
-                for k in stale:
-                    del available[k]
+                for k in users.pop(dest, ()):
+                    v = available.get(k)
+                    if v is not None and (v == dest or ("reg", dest) in k):
+                        del available[k]
                 if (instr.op in _PURE
                         and instr.op not in (Opcode.MOVE, Opcode.FMOV)
                         and dest not in instr.srcs):
                     # A recurrence like v = add(v, t) computes with the OLD
                     # v but would be keyed on the NEW v — never record it.
-                    available[_key(instr)] = dest
+                    key = _key(instr)
+                    available[key] = dest
+                    users.setdefault(dest, []).append(key)
+                    for part in key[1:-1]:
+                        if part[0] == "reg":
+                            users.setdefault(part[1], []).append(key)
     return eliminated

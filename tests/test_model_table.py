@@ -3,7 +3,8 @@
 :mod:`repro.rc.models` defines each RC model as rows of map moves; the
 hardware table, the abstract map, the compiler's two map emulations, slot
 liveness and the three simulators each derive their own form from those
-rows.  One random sequence of map operations per example — connect-use,
+rows, and so does the connect optimizer's int-mask map state.  One random
+sequence of map operations per example — connect-use,
 connect-def, a write through an index, a read through an index, and a
 CALL/RET home reset — drives all of them, and each must reproduce what a
 direct interpretation of the table says.
@@ -14,6 +15,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.analyze import SlotLiveness, after_states, build_cfg, solve_backward
 from repro.analyze.dataflow import reg_bit
+from repro.analyze.optimize import _MapMasks
 from repro.compiler.regalloc.rc_rewrite import ConnectionAllocator
 from repro.compiler.sched.depgraph import DepGraph
 from repro.isa import (
@@ -134,6 +136,20 @@ def check_abstract_map(model, ops, states):
         for i in range(ENTRIES):
             assert amap.read_entry(i) == {(want[READ][i], None)}
             assert amap.write_entry(i) == {(want[WRITE][i], None)}
+
+
+def check_connect_opt_state(model, ops, states):
+    """The optimizer's mask state names exactly the table's target in
+    every slot: mask ``1 << target``."""
+    maps = _MapMasks(config(model))
+    state = maps.boundary(None)
+    for op, want in zip(ops, states):
+        for instr in instrs_for(op):
+            state = maps.transfer(state, 0, instr)
+        for which in (READ, WRITE):
+            for i in range(ENTRIES):
+                slot = maps.slot(RClass.INT, which, i)
+                assert state[slot] == 1 << want[which][i], (which, i)
 
 
 def check_connection_allocator(model, ops, states):
@@ -271,6 +287,7 @@ def test_every_consumer_agrees_with_the_table(model, ops):
     states, observed = table_run(model, ops)
     check_mapping_table(model, ops, states)
     check_abstract_map(model, ops, states)
+    check_connect_opt_state(model, ops, states)
     check_connection_allocator(model, ops, states)
     check_depgraph(model, ops, states, observed)
     check_slot_liveness(model, ops, states, observed)

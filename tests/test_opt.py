@@ -153,6 +153,52 @@ class TestCSE:
         assert eliminate_common_subexpressions(fn) == 0
         assert run_module(m).load_word(100) == 9 + 25
 
+    def test_redefined_source_kills_every_reader(self):
+        m = Module()
+        b = FnBuilder(m, "main")
+        x = b.li(3, name="x")
+        y = b.li(4, name="y")
+        a = b.add(x, y)
+        p = b.mul(y, x)
+        b.li(5, dest=y)
+        c = b.add(y, x)   # both keys read y: neither may be reused
+        q = b.mul(x, y)
+        b.store(b.add(b.add(a, c), b.add(p, q)), 100, 0)
+        b.halt()
+        fn = b.done()
+        assert eliminate_common_subexpressions(fn) == 0
+        assert run_module(m).load_word(100) == 7 + 8 + 12 + 15
+
+    def test_redefined_producer_blocks_reuse(self):
+        m = Module()
+        b = FnBuilder(m, "main")
+        x = b.li(3, name="x")
+        a = b.mul(x, x)
+        b.li(7, dest=a)   # a no longer holds x*x
+        c = b.mul(x, x)
+        b.store(b.add(a, c), 100, 0)
+        b.halt()
+        fn = b.done()
+        assert eliminate_common_subexpressions(fn) == 0
+        assert run_module(m).load_word(100) == 7 + 9
+
+    def test_key_recorded_again_after_kill(self):
+        m = Module()
+        b = FnBuilder(m, "main")
+        x = b.li(3, name="x")
+        a = b.mul(x, x)
+        b.li(5, dest=x)
+        c = b.mul(x, x)   # recorded again, now produced into c
+        b.li(1, dest=a)   # the killed record's producer: must not kill c's
+        d = b.mul(x, x)   # reuses c
+        b.store(b.add(b.add(a, c), d), 100, 0)
+        b.halt()
+        fn = b.done()
+        assert eliminate_common_subexpressions(fn) == 1
+        assert fn.entry.instrs[5].op is Opcode.MOVE
+        assert fn.entry.instrs[5].srcs == (c,)
+        assert run_module(m).load_word(100) == 1 + 25 + 25
+
 
 class TestDCE:
     def test_removes_unused_chain(self):

@@ -9,6 +9,7 @@ import pytest
 
 from repro.analyze import check_program, optimize_connects
 from repro.compiler.pipeline import CompileOptions, compile_module
+from repro.experiments.figures import _config
 from repro.isa import RClass
 from repro.isa.asmparse import parse_program
 from repro.rc import RCModel
@@ -239,6 +240,22 @@ class TestPipeline:
         assert_parity(out.program, result.program, config)
         again = optimize_connects(result.program, config)
         assert not again.report.changed
+
+    @pytest.mark.parametrize("name, pair, model, expect", [
+        ("compress", (16, 32), 1, (42, 3, 0, 1)),
+        ("nasa7", (16, 32), 3, (45, 2, 1, 0)),
+        ("yacc", (16, 32), 3, (160, 1, 3, 3)),
+    ])
+    def test_hoist_search_is_pinned(self, name, pair, model, expect):
+        # (trials, hoisted, removed dead, removed redundant) on figure-8
+        # machines: a change to the candidate order, the trial cap or the
+        # commit rule moves these, even when every program stays correct.
+        config = _config(name, rc=True, int_core=pair[0], fp_core=pair[1],
+                         model=RCModel(model))
+        report = compile_module(workload(name).module(1), config).connect_opt
+        assert (report.trials, report.hoisted, report.removed_dead,
+                report.removed_redundant) == expect
+        assert f"{expect[0]} hoist trials" in report.lines()[0]
 
     def test_optimized_output_checks_clean_of_own_rules(self):
         # The checker's RC003/RC005/RC006 are exactly what the optimizer
