@@ -12,6 +12,10 @@ Measures instructions/second for both engines over
 Methodology: each (benchmark, config) point is compiled once; both engines
 then get one warmup run — whose results are compared field-by-field, the
 hard parity gate — followed by ``--repeat`` timed runs each, best-of taken.
+Each point also runs both engines once with ``max_cycles`` one below the
+reference cycle count, where the run's tail is past every block's cycle
+gate and executes the fast engine's checked blocks: the two must fail with
+the same error type and message, or agree on the full stats.
 The fast engine's warmup also populates its per-program code cache, so the
 timed runs measure steady-state engine throughput; the cold first-run time
 (including code generation) is recorded separately for transparency.
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import platform
@@ -70,6 +75,24 @@ def _check_parity(ref, fast, label: str) -> list[str]:
     return problems
 
 
+def _budget_outcome(sim):
+    """Error type and message of a run, or its stats when it completes."""
+    try:
+        return sim.run().stats
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _check_budget_parity(program, config, cycles: int, label: str):
+    tight = dataclasses.replace(config, max_cycles=cycles - 1)
+    ref = _budget_outcome(Simulator(program, tight))
+    fast = _budget_outcome(FastSimulator(program, tight))
+    if ref != fast:
+        return [f"{label}: max_cycles={cycles - 1} diverges:"
+                f" ref {ref!r} vs fast {fast!r}"]
+    return []
+
+
 def _time_engine(make_sim, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -94,6 +117,8 @@ def bench_point(program, config, label: str, repeat: int) -> tuple[dict, list]:
     problems = _check_parity(ref_res, fast_res, label)
     if not fast_sim.ran_fastpath:
         problems.append(f"{label}: fast engine unexpectedly fell back")
+    problems.extend(_check_budget_parity(program, config,
+                                         ref_res.stats.cycles, label))
 
     insns = ref_res.stats.instructions
     ref_s = _time_engine(lambda: Simulator(program, config), repeat)

@@ -3,13 +3,15 @@
 
 Two layers (ROADMAP: "as fast as the hardware allows"):
 
-1. **Decode-time specialization.**  For each static instruction the engine
-   generates Python source inlining exactly the operand-resolution branches
-   that instruction needs — source count and classes, map-vs-bypass path for
-   the configured register files, destination interlock, latency constant —
-   and groups the instructions of every basic block into one ``compile()``d
-   function.  State is bound through keyword-only default arguments so the
-   hot loop runs on local-variable access, with no per-source
+1. **Decode-time specialization.**  The engine generates Python source for
+   every basic block — one ``compile()``d function per block, inlining
+   exactly the operand-resolution branches each instruction needs: source
+   count and classes, map-vs-bypass path for the configured register
+   files, destination interlock, latency constant.  An instruction's
+   interlock is closed-form: the latest ready time of its operands is
+   folded into one bound, and a single test closes the open group and
+   stalls to it.  State is bound through keyword-only default arguments so
+   the hot loop runs on local-variable access, with no per-source
    ``for mode, payload in d.srcs`` interpretation, no ``_SRC_*`` dispatch,
    and no repeated attribute loads.
 
@@ -23,12 +25,28 @@ Two layers (ROADMAP: "as fast as the hardware allows"):
    scoreboard polls entirely.  A miss falls back to the specialized
    single-step path, which doubles as the recorder.
 
+Two pieces of bookkeeping are paid per block rather than per instruction:
+
+* **Cycle budget.**  A block function starts with one test against its
+  gate ``G`` (see :meth:`_Codegen._gate`): entered at or below it, one
+  pass over the block cannot exceed ``max_cycles``, so the block carries no
+  budget test at all (a self-loop re-tests ``G`` on its back edge).  Above
+  the gate the block hands over to a *checked* variant, generated and
+  compiled on first use, that tests the budget after every clock advance
+  and raises :class:`~repro.errors.CycleBudgetError` at exactly the pc the
+  reference engine reports.  Under the default budget the checked code is
+  never built.
+* **Execution counts.**  Every instruction of a basic block runs exactly as
+  often as its leader, so the block bumps one counter, its leader's; the
+  statistics expand it over the block after the run.
+
 The generated code reproduces the reference engine's group accounting
 (zero-issue jumps, width exhaustion, memory-channel and same-cycle
 store->load structural breaks, misprediction/trap/rte redirects) branch for
 branch; ``tests/test_fastpath.py`` asserts equality of cycles, the full
 :class:`SimStats`, and the architectural checksum across every benchmark x
-RC model x issue width.
+RC model x issue width, and of the error at every cycle budget around a
+run's end.
 
 The engine transparently delegates to the reference simulator whenever its
 per-event guarantees are needed: an attached observer or trace hook, a
@@ -183,9 +201,14 @@ class _Codegen:
     between blocks so a correctly-predicted not-taken branch can hand a
     partially-filled issue group to the fall-through block, exactly like
     the reference engine's inner loop.
+
+    With ``checked=True`` the generator emits the checked variant of single
+    blocks instead (:meth:`checked_block`): a budget test after every clock
+    advance and no gate or bundle replay.
     """
 
-    def __init__(self, program, config, decoded, generic_maps=False) -> None:
+    def __init__(self, program, config, decoded, generic_maps=False,
+                 checked=False) -> None:
         self.program = program
         self.config = config
         self.dec = decoded
@@ -195,6 +218,7 @@ class _Codegen:
         self.CL = config.latency.connect
         self.maxc = config.max_cycles
         self.model = config.rc_model
+        self.checked = checked
         #: Generic-maps mode emits the moves of every RC model gated by
         #: const flags (see :func:`_generic_flags`) instead of inlining one
         #: model's lines, so one compiled module serves every model — the
@@ -215,11 +239,6 @@ class _Codegen:
         self.consts: dict[str, object] = {}
         self.lines: list[str] = []
         self._block_consts: list[str] = []
-
-    # -- program structure -----------------------------------------------------
-
-    def _blocks(self) -> list[tuple[int, list[int]]]:
-        return program_blocks(self.program, self.dec)
 
     # -- helpers ---------------------------------------------------------------
 
@@ -254,63 +273,94 @@ class _Codegen:
     def _mapped(self, is_int: bool) -> bool:
         return bool(self.ient if is_int else self.fent)
 
+    def _emit_budget(self, w, ind, pc: int) -> None:
+        """Budget test after a clock advance; checked blocks only."""
+        if self.checked:
+            w(ind + f"if cycle > MAXC: _mxe({pc})")
+
+    def _gate(self, body: list[int]) -> int:
+        """Cycle gate ``G`` of a fast block: entered with ``cycle <= G``, one
+        pass over *body* cannot carry the clock past ``max_cycles``, so the
+        block needs no budget test of its own.
+
+        Per instruction the clock advances by at most one latency plus four
+        group breaks.  The interlock stalls to a ready time, and every ready
+        time is an issue cycle (never later than the clock) plus a latency
+        or the connect latency, so the stall reaches at most ``lmax`` past
+        the clock; the group close before it, the memory channel, the
+        store->load break and the width break (or the control transfer's
+        own cycle) add at most one each.  The terminator adds at most one
+        redirect ``RD``.  A bundle replay advances by a recorded pass of the
+        same block, so the bound covers it too; ``+ 4`` is slack.
+        """
+        return self.maxc - (len(body) * (self.lmax + 4) + self.RD + 4)
+
     # -- operand resolution ----------------------------------------------------
 
     def _emit_resolution(self, w, ind, k: int, d):
-        """Emit ready-time checks accumulating the interlock bound into local
-        ``b``; returns (value expressions, dest index expression or None).
+        """Emit the interlock bound: local ``b`` = latest ready time over
+        the instruction's register operands (map entries included).
+        Returns (value expressions, dest index expression or None, whether
+        ``b`` was set).
 
         Mirrors the reference resolution walk: map-ready check and map
         translation under ``map_en`` (the decoder guarantees operand indices
         fit the table, so the reference's ``payload < ient`` test is
         statically true whenever a table exists), then the register-file
-        ready check on the physical index.
+        ready check on the physical index.  Every read happens before the
+        clock moves and none is written by the stall, so the order of the
+        reads is free: all map translations share one ``map_en`` split.
         """
         vals = []
+        mapped = []  # (index local, map lookup, map-ready, bypass index)
+        ready = []   # register ready-time expressions, after the split
         for j, (mode, payload) in enumerate(d.srcs):
             if mode == _SRC_IMM:
                 vals.append(self._imm_expr(k, j, payload))
                 continue
             is_int = mode == _SRC_INT
-            regs = "IREGS" if is_int else "FREGS"
-            ready = "IREADY" if is_int else "FREADY"
+            idx = str(payload)
             if self._mapped(is_int):
-                mr = "IMR_R" if is_int else "FMR_R"
-                rm = "IRM" if is_int else "FRM"
-                w(ind + "if map_en:")
-                w(ind + f"    r = {mr}[{payload}]")
-                w(ind + "    if r > cycle and r > b: b = r")
-                w(ind + f"    s{j} = {rm}[{payload}]")
-                w(ind + "else:")
-                w(ind + f"    s{j} = {payload}")
-                w(ind + f"r = {ready}[s{j}]")
-                w(ind + "if r > cycle and r > b: b = r")
-                vals.append(f"{regs}[s{j}]")
-            else:
-                w(ind + f"r = {ready}[{payload}]")
-                w(ind + "if r > cycle and r > b: b = r")
-                vals.append(f"{regs}[{payload}]")
+                idx = f"s{j}"
+                mapped.append((idx, f"{_MAP_NAMES[is_int][READ]}[{payload}]",
+                               f"{'IMR_R' if is_int else 'FMR_R'}[{payload}]",
+                               payload))
+            ready.append(f"{'IREADY' if is_int else 'FREADY'}[{idx}]")
+            vals.append(f"{'IREGS' if is_int else 'FREGS'}[{idx}]")
         dest_expr = None
         if d.dest is not None:
-            dest_is_int, nm = d.dest
-            ready = "IREADY" if dest_is_int else "FREADY"
-            if self._mapped(dest_is_int):
-                mw = "IMR_W" if dest_is_int else "FMR_W"
-                wm = "IWM" if dest_is_int else "FWM"
-                w(ind + "if map_en:")
-                w(ind + f"    r = {mw}[{nm}]")
-                w(ind + "    if r > cycle and r > b: b = r")
-                w(ind + f"    dph = {wm}[{nm}]")
-                w(ind + "else:")
-                w(ind + f"    dph = {nm}")
-                w(ind + f"r = {ready}[dph]")
-                w(ind + "if r > cycle and r > b: b = r")
+            is_int, nm = d.dest
+            dest_expr = str(nm)
+            if self._mapped(is_int):
                 dest_expr = "dph"
+                mapped.append(("dph", f"{_MAP_NAMES[is_int][WRITE]}[{nm}]",
+                               f"{'IMR_W' if is_int else 'FMR_W'}[{nm}]", nm))
+            ready.append(f"{'IREADY' if is_int else 'FREADY'}[{dest_expr}]")
+        first = True
+        if mapped:
+            w(ind + "if map_en:")
+            for local, lookup, _busy, _home in mapped:
+                w(ind + f"    {local} = {lookup}")
+            self._emit_fold(w, ind + "    ", [m[2] for m in mapped], True)
+            w(ind + "else:")
+            for local, _lookup, _busy, home in mapped:
+                w(ind + f"    {local} = {home}")
+            w(ind + "    b = 0")
+            first = False
+        self._emit_fold(w, ind, ready, first)
+        return vals, dest_expr, bool(ready)
+
+    @staticmethod
+    def _emit_fold(w, ind, exprs, first: bool) -> None:
+        """Fold ready times into ``b`` (compare-and-assign, no ``max()``
+        call: a call costs more than the branch it saves)."""
+        for e in exprs:
+            if first:
+                w(ind + f"b = {e}")
+                first = False
             else:
-                w(ind + f"r = {ready}[{nm}]")
-                w(ind + "if r > cycle and r > b: b = r")
-                dest_expr = str(nm)
-        return vals, dest_expr
+                w(ind + f"r = {e}")
+                w(ind + "if r > b: b = r")
 
     def _static_vals(self, k: int, d) -> list[str]:
         """Value expressions with direct physical indices (no mapping)."""
@@ -395,15 +445,28 @@ class _Codegen:
 
     # -- group bookkeeping -----------------------------------------------------
 
+    def _emit_reset(self, w, ind) -> None:
+        """Open a fresh issue group (no group state at width 1)."""
+        if self.W > 1:
+            w(ind + "issued = mem_used = store_seen = 0")
+
     def _emit_goto(self, w, ind, target: int, loop_leader) -> None:
         """Control transfer with a clean (empty) next group."""
         if loop_leader is not None and target == loop_leader:
-            w(ind + f"if cycle > MAXC: _mxe({target})")
-            if self.W > 1:
-                w(ind + "issued = 0; mem_used = 0; store_seen = 0")
-            w(ind + "continue")
+            self._emit_back_edge(w, ind, target)
         else:
             w(ind + f"return ({target}, cycle, 0, 0, False, map_en, False)")
+
+    def _emit_back_edge(self, w, ind, lead: int) -> None:
+        """Self-loop back edge: budget test (checked) or gate re-test
+        (fast, handing the next pass to the checked block), then loop."""
+        if self.checked:
+            self._emit_budget(w, ind, lead)
+            self._emit_reset(w, ind)
+        else:
+            self._emit_reset(w, ind)
+            w(ind + _GUARD.format(lead=lead))
+        w(ind + "continue")
 
     def _emit_epilogue(self, w, ind, k: int, is_last: bool) -> None:
         """Group advance after a fall-through issue (width exhaustion)."""
@@ -416,15 +479,24 @@ class _Codegen:
                 w(ind + f"return ({k + 1}, cycle, issued, mem_used,"
                         " store_seen, map_en, False)")
             else:
-                w(ind + f"    if cycle > MAXC: _mxe({k + 1})")
-                w(ind + "    issued = 0; mem_used = 0; store_seen = 0")
+                self._emit_budget(w, ind + "    ", k + 1)
+                self._emit_reset(w, ind + "    ")
         else:
             w(ind + "cycle += 1")
             if is_last:
                 w(ind + f"return ({k + 1}, cycle, 0, 0, False, map_en,"
                         " False)")
             else:
-                w(ind + f"if cycle > MAXC: _mxe({k + 1})")
+                self._emit_budget(w, ind, k + 1)
+
+    def _emit_break(self, w, ind, k: int, test: str, stat=None) -> None:
+        """Structural group break: ``if test``, close the group."""
+        w(ind + f"if {test}:")
+        if stat is not None:
+            w(ind + f"    ST[{stat}] += 1")
+        w(ind + "    cycle += 1")
+        self._emit_budget(w, ind + "    ", k)
+        self._emit_reset(w, ind + "    ")
 
     # -- per-instruction emission ----------------------------------------------
 
@@ -433,65 +505,37 @@ class _Codegen:
         W = self.W
         kind = d.kind
         self._validate(k, d)
-        has_res = d.dest is not None or any(
-            m != _SRC_IMM for m, _ in d.srcs)
         is_mem = kind in (K_LOAD, K_STORE)
-        mem_can_stall = is_mem and self.CH < W
-        las_check = kind == K_LOAD and W > 1
 
-        dest_expr = None
-        if has_res and W > 1:
-            w(ind + "while 1:")
+        # Interlock, closed form: nothing the bound reads changes while the
+        # group closes, so one close plus one stall to ``b`` is exactly the
+        # reference's re-polling loop.
+        vals, dest_expr, bound = self._emit_resolution(w, ind, k, d)
+        if bound:
+            w(ind + "if b > cycle:")
             i2 = ind + "    "
-            w(i2 + "b = 0")
-            vals, dest_expr = self._emit_resolution(w, i2, k, d)
-            w(i2 + "if b:")
-            w(i2 + "    if issued:")
-            w(i2 + "        cycle += 1")
-            w(i2 + f"        if cycle > MAXC: _mxe({k})")
-            w(i2 + "        issued = 0; mem_used = 0; store_seen = 0")
-            w(i2 + "        continue")
-            w(i2 + "    ST[0] += b - cycle")
-            w(i2 + "    cycle = b")
-            w(i2 + f"    if cycle > MAXC: _mxe({k})")
-            if mem_can_stall:
-                w(i2 + f"if mem_used >= {self.CH}:")
-                w(i2 + "    ST[2] += 1")
+            if W > 1:
+                w(i2 + "if issued:")
                 w(i2 + "    cycle += 1")
-                w(i2 + f"    if cycle > MAXC: _mxe({k})")
-                w(i2 + "    issued = 0; mem_used = 0; store_seen = 0")
-            if las_check:
-                w(i2 + "if store_seen:")
-                w(i2 + "    cycle += 1")
-                w(i2 + f"    if cycle > MAXC: _mxe({k})")
-                w(i2 + "    issued = 0; mem_used = 0; store_seen = 0")
-            w(i2 + "break")
-        elif has_res:  # W == 1: groups hold one instruction, stalls jump once
-            w(ind + "b = 0")
-            vals, dest_expr = self._emit_resolution(w, ind, k, d)
-            w(ind + "if b:")
-            w(ind + "    ST[0] += b - cycle")
-            w(ind + "    cycle = b")
-            w(ind + f"    if cycle > MAXC: _mxe({k})")
-        else:
-            vals = self._static_vals(k, d)
-            if mem_can_stall:
-                w(ind + f"if mem_used >= {self.CH}:")
-                w(ind + "    ST[2] += 1")
-                w(ind + "    cycle += 1")
-                w(ind + f"    if cycle > MAXC: _mxe({k})")
-                w(ind + "    issued = 0; mem_used = 0; store_seen = 0")
-            if las_check:
-                w(ind + "if store_seen:")
-                w(ind + "    cycle += 1")
-                w(ind + f"    if cycle > MAXC: _mxe({k})")
-                w(ind + "    issued = 0; mem_used = 0; store_seen = 0")
+                w(i2 + "    issued = mem_used = store_seen = 0")
+                w(i2 + "if b > cycle:")
+                w(i2 + "    ST[0] += b - cycle")
+                w(i2 + "    cycle = b")
+            else:  # groups hold one instruction: a stall is the only wait
+                w(i2 + "ST[0] += b - cycle")
+                w(i2 + "cycle = b")
+            self._emit_budget(w, i2, k)
+        if is_mem and self.CH < W:
+            self._emit_break(w, ind, k, f"mem_used >= {self.CH}", 2)
+        if kind == K_LOAD and W > 1:
+            self._emit_break(w, ind, k, "store_seen")
 
         if is_mem and W > 1:
             w(ind + "mem_used += 1")
-        if W > 1:
+        if W > 1 and (kind not in _CONTROL
+                      or kind == K_CBR and not d.pred_taken):
+            # Other control transfers leave with an empty group.
             w(ind + "issued += 1")
-        w(ind + f"IC[{k}] += 1")
         if record:
             w(ind + "if _rec is not None:")
             w(ind + "    _rec.append(cycle - _c0)")
@@ -618,24 +662,21 @@ class _Codegen:
     # -- issue-bundle caching --------------------------------------------------
 
     def _bundle_plan(self, lead: int, body: list[int]):
-        """Static plan for memoizing this self-loop block's issue schedule,
-        or ``None`` when the block does not qualify.
+        """Register slots for memoizing this self-loop block's issue
+        schedule, or ``None`` when the block does not qualify.
 
         Qualification: predicted-taken conditional-branch terminator
         targeting the leader, simple kinds only, every register operand
         unmapped (its file has no RC table, so resolution never consults
-        ``map_en`` or map-ready times), a bounded register footprint, and a
-        max-cycles gate far enough out that skipping the per-group limit
-        checks cannot change behavior.
+        ``map_en`` or map-ready times), and a bounded register footprint.
+        Replay skips the budget tests a pass would make; the block gate
+        ``G`` (:meth:`_gate`) keeps every replayed pass inside the budget.
         """
         dec = self.dec
         term = dec[body[-1]]
         if term.kind != K_CBR or not term.pred_taken or term.target != lead:
             return None
         if not 2 <= len(body) <= _BUNDLE_MAX_LEN:
-            return None
-        gate = self.maxc - (len(body) * (self.lmax + 3) + self.RD + 4)
-        if gate <= 0:
             return None
         slots: list[tuple[bool, int]] = []
         seen = set()
@@ -656,16 +697,16 @@ class _Codegen:
                     slots.append(key)
         if len(slots) > _BUNDLE_MAX_SLOTS:
             return None
-        return {"slots": slots, "gate": gate}
+        return slots
 
-    def _emit_bundle(self, w, ind, lead: int, body: list[int], plan) -> None:
+    def _emit_bundle(self, w, ind, lead: int, body: list[int], slots) -> None:
         """Loop-top pre-header: signature probe, replay on hit, recorder
         arming on miss."""
         i2 = ind + "    "
         i3 = i2 + "    "
-        w(ind + f"if issued == 0 and cycle < {plan['gate']}:")
+        w(ind + "if issued == 0:")
         parts = []
-        for j, (is_int, p) in enumerate(plan["slots"]):
+        for j, (is_int, p) in enumerate(slots):
             ready = "IREADY" if is_int else "FREADY"
             parts.append(
                 f"x{j} if (x{j} := {ready}[{p}] - cycle) > 0 else 0")
@@ -684,7 +725,6 @@ class _Codegen:
         w(i3 + "_rel = _e[0]")
         for i, k in enumerate(body[:-1]):
             d = self.dec[k]
-            w(i3 + f"IC[{k}] += 1")
             vals = self._static_vals(k, d)
             kind = d.kind
             if kind in (K_ALU, K_LI, K_LOAD):
@@ -707,10 +747,9 @@ class _Codegen:
         cond = _BR_EXPR[td.op.name].format(
             a=tvals[0], b=tvals[1] if len(tvals) > 1 else "")
         B = len(body) - 1
-        w(i3 + f"IC[{termk}] += 1")
         w(i3 + f"if {cond}:")
         w(i3 + f"    cycle += _rel[{B}] + 1")
-        w(i3 + f"    if cycle > MAXC: _mxe({lead})")
+        w(i3 + "    " + _GUARD.format(lead=lead))
         w(i3 + "    continue")
         w(i3 + "ST[1] += 1")
         w(i3 + f"ST[3] += {self.RD}")
@@ -726,18 +765,21 @@ class _Codegen:
         dec = self.dec
         term = dec[body[-1]]
         self_loop = term.kind in (K_CBR, K_JMP) and term.target == lead
-        plan = self._bundle_plan(lead, body) if self_loop else None
+        plan = (self._bundle_plan(lead, body)
+                if self_loop and not self.checked else None)
         buf: list[str] = []
         w = buf.append
-        base = "    "
+        ind = "    "
+        if not self.checked:
+            w(ind + _GUARD.format(lead=lead))
         if self_loop:
-            if plan:
-                w(base + "_rec = None")
-            w(base + "while 1:")
-            ind = base + "    "
-        else:
-            ind = base
-        if plan:
+            if plan is not None:
+                w(ind + "_rec = None")
+            w(ind + "while 1:")
+            ind += "    "
+        # Every instruction of the block runs as often as its leader.
+        w(ind + f"IC[{lead}] += 1")
+        if plan is not None:
             self._emit_bundle(w, ind, lead, body, plan)
         loop_leader = lead if self_loop else None
         last = len(body) - 1
@@ -746,73 +788,89 @@ class _Codegen:
                              plan is not None, i == last)
         text = "\n".join(buf)
         binds = []
-        if plan:
+        if plan is not None:
             self.lines.append(f"BC{lead} = {{}}")
             binds.append(f"BC=BC{lead}")
+        if not self.checked:
+            binds.append(f"G={self._gate(body)}")
         names = dict.fromkeys(list(_BINDABLE) + self._block_consts)
         used = set(_IDENT_RE.findall(text))
         for name in names:
             if name in used:
                 binds.append(f"{name}={name}")
-        head = f"def _b{lead}(cycle, issued, mem_used, store_seen, map_en"
-        if binds:
-            head += ", *, " + ", ".join(binds)
-        head += "):"
+        prefix = "_c" if self.checked else "_b"
+        head = (f"def {prefix}{lead}(cycle, issued, mem_used, store_seen,"
+                f" map_en, *, {', '.join(binds)}):")
         self.lines.append(head)
         self.lines.append(text)
         self.lines.append("")
 
-    def generate(self) -> tuple[str, dict[str, object]]:
-        w = self.lines.append
-        w("def _mxe(pc):")
-        w(f"    raise CBE('exceeded {self.maxc} cycles at pc=%d' % pc)")
-        w("")
-        blocks = self._blocks()
+    def generate(self) -> tuple[str, dict[str, object], list]:
+        """The module source, its consts, and the program's blocks."""
+        blocks = program_blocks(self.program, self.dec)
         for lead, body in blocks:
             self._emit_block(lead, body)
+        w = self.lines.append
         w(f"_FUNCS = [None] * {len(self.dec)}")
         for lead, _body in blocks:
             w(f"_FUNCS[{lead}] = _b{lead}")
-        return "\n".join(self.lines) + "\n", self.consts
+        return "\n".join(self.lines) + "\n", self.consts, blocks
+
+    def checked_block(self, lead: int, body: list[int]) -> str:
+        """Source defining ``_c<lead>``, the checked variant of one block.
+        Its consts are the module's own (the same names and values), which
+        the driver's namespace already holds."""
+        self._emit_block(lead, body)
+        return "\n".join(self.lines) + "\n"
+
+
+#: First statement of a fast block, and its self-loop's back-edge re-test.
+_GUARD = ("if cycle > G: return _CHK({lead}, cycle, issued, mem_used,"
+          " store_seen, map_en)")
 
 
 # -- compiled-code cache -------------------------------------------------------
 
-#: id(program) -> (weakref to the program, {config key -> (code, consts) or
-#: None}).  Keyed by identity because :class:`MachineProgram` is an
-#: eq-bearing (hence unhashable) mutable dataclass, and instances are pickled
-#: into the experiment disk cache, so code objects must never be attached to
-#: them.
+#: id(program) -> (weakref to the program, {config key -> (code, consts,
+#: blocks, {leader -> checked block code}) or None}).  Keyed by identity
+#: because :class:`MachineProgram` is an eq-bearing (hence unhashable)
+#: mutable dataclass, and instances are pickled into the experiment disk
+#: cache, so code objects must never be attached to them.
 _code_cache: dict[int, tuple[object, dict]] = {}
+
+
+def _cached(program, ckey: str, make):
+    """The cache entry of *program* under *ckey*, built by ``make()`` on a
+    miss."""
+    key = id(program)
+    entry = _code_cache.get(key)
+    if entry is None or entry[0]() is not program:
+        ref = weakref.ref(
+            program, lambda _r, _k=key: _code_cache.pop(_k, None))
+        entry = (ref, {})
+        _code_cache[key] = entry
+    per_config = entry[1]
+    if ckey not in per_config:
+        per_config[ckey] = make()
+    return per_config[ckey]
+
+
+def _generate(program, config, decoded, generic_maps=False):
+    try:
+        source, consts, blocks = _Codegen(
+            program, config, decoded, generic_maps=generic_maps).generate()
+    except _Unsupported:
+        return None
+    tag = "fastpath-generic" if generic_maps else "fastpath"
+    code = compile(source, f"<{tag}:{program.name}>", "exec")
+    return code, consts, blocks, {}
 
 
 def _compiled(program, config, decoded):
     """Compiled step-function module for (program, config), or ``None`` when
     the program shape is unsupported.  Cached per program identity."""
-    key = id(program)
-    entry = _code_cache.get(key)
-    if entry is None or entry[0]() is not program:
-        try:
-            ref = weakref.ref(
-                program, lambda _r, _k=key: _code_cache.pop(_k, None))
-        except TypeError:  # pragma: no cover - programs are weakref-able
-            return _generate(program, config, decoded)
-        entry = (ref, {})
-        _code_cache[key] = entry
-    per_config = entry[1]
-    ckey = repr(config)
-    if ckey not in per_config:
-        per_config[ckey] = _generate(program, config, decoded)
-    return per_config[ckey]
-
-
-def _generate(program, config, decoded):
-    try:
-        source, consts = _Codegen(program, config, decoded).generate()
-    except _Unsupported:
-        return None
-    code = compile(source, f"<fastpath:{program.name}>", "exec")
-    return code, consts
+    return _cached(program, repr(config),
+                   lambda: _generate(program, config, decoded))
 
 
 def _compiled_generic(program, config, decoded):
@@ -821,40 +879,13 @@ def _compiled_generic(program, config, decoded):
     serves every model, with the model selected per caller by patching the
     :func:`_generic_flags` consts.  Used by the batched engine, whose gang
     leaders differ only by model."""
-    key = id(program)
-    entry = _code_cache.get(key)
-    if entry is None or entry[0]() is not program:
-        try:
-            ref = weakref.ref(
-                program, lambda _r, _k=key: _code_cache.pop(_k, None))
-        except TypeError:  # pragma: no cover - programs are weakref-able
-            entry = None
-        else:
-            entry = (ref, {})
-            _code_cache[key] = entry
     base = dataclasses.replace(config, rc_model=DEFAULT_MODEL)
-    if entry is None:  # pragma: no cover - unreachable for real programs
-        cached = _generate_generic(program, base, decoded)
-    else:
-        per_config = entry[1]
-        ckey = "generic:" + repr(base)
-        if ckey not in per_config:
-            per_config[ckey] = _generate_generic(program, base, decoded)
-        cached = per_config[ckey]
+    cached = _cached(program, "generic:" + repr(base),
+                     lambda: _generate(program, base, decoded, True))
     if cached is None:
         return None
-    code, consts = cached
-    return code, {**consts, **_generic_flags(config.rc_model)}
-
-
-def _generate_generic(program, base_config, decoded):
-    try:
-        source, consts = _Codegen(program, base_config, decoded,
-                                  generic_maps=True).generate()
-    except _Unsupported:
-        return None
-    code = compile(source, f"<fastpath-generic:{program.name}>", "exec")
-    return code, consts
+    code, consts, blocks, checked = cached
+    return code, {**consts, **_generic_flags(config.rc_model)}, blocks, checked
 
 
 class FastSimulator:
@@ -876,6 +907,7 @@ class FastSimulator:
         self.program = program
         self.config = config
         self.ran_fastpath = False
+        self._generic = generic_maps
         lookup = _compiled_generic if generic_maps else _compiled
         self._compiled_entry = lookup(program, config, self._ref._decoded)
 
@@ -935,8 +967,10 @@ class FastSimulator:
         ref = self._ref
         state = ref.state
         config = self.config
-        code, consts = self._compiled_entry
-        n = len(ref._decoded)
+        dec = ref._decoded
+        code, consts, blocks, checked = self._compiled_entry
+        n = len(dec)
+        maxc = config.max_cycles
         itab = state.int_table
         ftab = state.fp_table
         iready = [0] * len(state.int_regs)
@@ -950,10 +984,32 @@ class FastSimulator:
         counts = [0] * n
         # [zero-issue cycles, mispredicts, mem-channel stalls, redirects]
         st = [0, 0, 0, 0]
+
+        def _mxe(pc):
+            raise CycleBudgetError(f"exceeded {maxc} cycles at pc={pc}")
+
+        def _chk(lead, cycle, issued, mem_used, store_seen, map_en):
+            # Past block *lead*'s gate: run its checked variant, compiled on
+            # first use for this (program, config) and bound per run.  Back
+            # edges enter here too, so the loop-top budget test comes first.
+            if cycle > maxc:
+                _mxe(lead)
+            fn = ns.get(f"_c{lead}")
+            if fn is None:
+                if lead not in checked:
+                    gen = _Codegen(self.program, config, dec,
+                                   generic_maps=self._generic, checked=True)
+                    checked[lead] = compile(
+                        gen.checked_block(lead, dict(blocks)[lead]),
+                        f"<fastpath-checked:{self.program.name}>", "exec")
+                exec(checked[lead], ns)
+                fn = ns[f"_c{lead}"]
+            return fn(cycle, issued, mem_used, store_seen, map_en)
+
         ns = {
             "SE": SimulationError,
-            "CBE": CycleBudgetError,
-            "MAXC": config.max_cycles,
+            "_mxe": _mxe, "_CHK": _chk,
+            "MAXC": maxc,
             "IREADY": iready, "FREADY": fready,
             "IREGS": state.int_regs, "FREGS": state.fp_regs,
             "MEM": state.memory,
@@ -978,12 +1034,10 @@ class FastSimulator:
         mem_used = 0
         store_seen = False
         map_en = state.psw.map_enable
-        maxc = config.max_cycles
         if trace is None:
             while True:
                 if cycle > maxc:
-                    raise CycleBudgetError(
-                        f"exceeded {maxc} cycles at pc={pc}")
+                    _mxe(pc)
                 if pc >= n:
                     raise SimulationError(f"fell off program end at pc={pc}")
                 (pc, cycle, issued, mem_used, store_seen, map_en,
@@ -994,13 +1048,13 @@ class FastSimulator:
         else:
             # Gang-leader mode (repro.sim.batched): record one (block leader,
             # iteration count) entry per driver dispatch.  Self-loop blocks
-            # iterate internally, so the count is recovered from the leader
-            # instruction's issue-count delta across the call.
+            # iterate internally (past the gate, on into their checked
+            # variant), so the count is recovered from the block counter's
+            # delta across the call.
             tp, tn = trace
             while True:
                 if cycle > maxc:
-                    raise CycleBudgetError(
-                        f"exceeded {maxc} cycles at pc={pc}")
+                    _mxe(pc)
                 if pc >= n:
                     raise SimulationError(f"fell off program end at pc={pc}")
                 opc = pc
@@ -1013,20 +1067,21 @@ class FastSimulator:
                 if halted:
                     break
 
-        dec = ref._decoded
         stats = SimStats()
         by_category = stats.by_category
         by_origin = stats.by_origin
         instructions = 0
         branches = 0
-        for k, cnt in enumerate(counts):
+        for lead, body in blocks:
+            cnt = counts[lead]
             if cnt:
-                d = dec[k]
-                instructions += cnt
-                by_category[d.category] += cnt
-                by_origin[d.origin] += cnt
-                if d.kind == K_CBR:
-                    branches += cnt
+                for k in body:
+                    d = dec[k]
+                    instructions += cnt
+                    by_category[d.category] += cnt
+                    by_origin[d.origin] += cnt
+                    if d.kind == K_CBR:
+                        branches += cnt
         stats.instructions = instructions
         stats.branches = branches
         stats.zero_issue_cycles = st[0]

@@ -15,7 +15,7 @@ import pytest
 
 from repro.compiler import compile_module
 from repro.errors import ConfigError, CycleBudgetError, SimulationError
-from repro.isa import Instr, Opcode, PhysReg, RClass
+from repro.isa import Imm, Instr, Opcode, PhysReg, RClass
 from repro.rc import RCModel
 from repro.sim import (
     BatchedSimulator,
@@ -168,6 +168,55 @@ class TestRetirement:
         for outcome in again:
             assert isinstance(outcome.error, SimulationError)
             assert "cannot resume" in str(outcome.error)
+
+    @staticmethod
+    def _assert_gang_matches_fast(program, configs):
+        for i, (cfg, outcome) in enumerate(
+                zip(configs, BatchedSimulator(program, configs).run())):
+            try:
+                single = FastSimulator(program, cfg).run()
+            except Exception as exc:
+                assert type(outcome.error) is type(exc), f"slot{i}"
+                assert str(outcome.error) == str(exc), f"slot{i}"
+            else:
+                _assert_slot_equals(outcome, single, f"slot{i}")
+
+    @staticmethod
+    def _loop_program():
+        r = lambda n: PhysReg(RClass.INT, n)  # noqa: E731
+        return assemble([
+            Instr(Opcode.LI, dest=r(5), imm=0),
+            Instr(Opcode.LI, dest=r(6), imm=0),
+            # loop: self-loop block running until just before the halt
+            Instr(Opcode.ADD, dest=r(5), srcs=(r(5), r(6))),
+            Instr(Opcode.ADD, dest=r(6), srcs=(r(6), Imm(1))),
+            Instr(Opcode.BLT, srcs=(r(6), Imm(300)), label="loop"),
+            Instr(Opcode.STORE, srcs=(r(5), Imm(0)), imm=900),
+            Instr(Opcode.HALT),
+        ], labels={"loop": 2})
+
+    def test_leader_budget_at_its_run_end(self):
+        """The leader (first of equal budgets) gets the tightest budget it
+        completes under (it runs past every block's gate, and followers
+        replay its trace) and one cycle less (it retires with the fast
+        engine's CycleBudgetError)."""
+        for program in (self._loop_program(), _program(ALL_BENCHMARKS[0])):
+            cfgs = [paper_machine(issue_width=w, rc_class=RClass.INT,
+                                  rc_model=RCModel.WRITE_RESET_READ_UPDATE)
+                    for w in GANG_WIDTHS]
+            budget = FastSimulator(program, cfgs[0]).run().stats.cycles
+            while True:
+                tight = dataclasses.replace(cfgs[0], max_cycles=budget - 1)
+                try:
+                    FastSimulator(program, tight).run()
+                except CycleBudgetError:
+                    break
+                budget -= 1
+            for b in (budget, budget - 1):
+                gang = [dataclasses.replace(c, max_cycles=b) for c in cfgs]
+                self._assert_gang_matches_fast(program, gang)
+            lead = BatchedSimulator(program, gang).run()[0]
+            assert isinstance(lead.error, CycleBudgetError)
 
 
 def test_until_cycle_segmented_gang_parity():

@@ -7,10 +7,12 @@ benchmark, RC reset model, and issue width.  Interrupts, observers, and
 trace hooks must transparently fall back to the reference engine.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.compiler import compile_module
-from repro.errors import ConfigError
+from repro.errors import ConfigError, CycleBudgetError
 from repro.isa import Imm, Instr, Opcode, PhysReg, RClass
 from repro.rc import RCModel
 from repro.sim import (
@@ -23,6 +25,8 @@ from repro.sim import (
     simulate,
     unlimited_machine,
 )
+from repro.sim.core import K_CBR, K_JMP
+from repro.sim.fastpath import _Codegen
 from repro.workloads import ALL_BENCHMARKS, build_workload, workload
 
 WIDTHS = (1, 2, 4, 8)
@@ -226,3 +230,79 @@ class TestFaultParity:
         with pytest.raises(SimulationError) as fast_exc:
             FastSimulator(prog, cfg).run()
         assert str(fast_exc.value) == str(ref_exc.value)
+
+
+# -- cycle budget: per-block gate and checked blocks ---------------------------
+
+#: (issue width, RC model) configs of the budget sweeps.
+BUDGET_CONFIGS = ((1, RCModel.NO_RESET),
+                  (4, RCModel.WRITE_RESET_READ_UPDATE),
+                  (8, RCModel.READ_RESET))
+
+
+def _outcome(sim):
+    """A run's observable outcome: its error's type and message, or its
+    full stats and architectural state."""
+    try:
+        res = sim.run()
+    except Exception as exc:
+        return type(exc), str(exc)
+    return res.stats, res.state.memory, res.state.int_regs, res.state.fp_regs
+
+
+@pytest.mark.parametrize("name", ("cmp", "compress", "eqn", "grep"))
+def test_budget_crossing_parity(name):
+    """Every budget from 60 cycles short of a run's end to one past it,
+    plus a few small ones: the fast engine raises exactly the reference's
+    error (type, message, pc) or returns its full result.  Near the end
+    every block crosses its cycle gate, so this pins the gate's bound and
+    the checked blocks behind it."""
+    for width, model in BUDGET_CONFIGS:
+        _module, out, cfg = _point(name, width, model)
+        full = Simulator(out.program, cfg).run().stats.cycles
+        for budget in (0, 1, 7, 50, full // 2, *range(full - 60, full + 2)):
+            bcfg = dataclasses.replace(cfg, max_cycles=budget)
+            ref = _outcome(Simulator(out.program, bcfg))
+            fast_sim = FastSimulator(out.program, bcfg)
+            fast = _outcome(fast_sim)
+            label = f"{name} w{width} {model.name} budget {budget}"
+            assert fast_sim.ran_fastpath, label
+            assert fast == ref, label
+
+
+def test_checked_blocks_built_only_past_the_gate():
+    """Under a roomy budget no checked block is compiled; a tight one
+    compiles each block it reaches once per (program, config)."""
+    _module, out, cfg = _point("cmp", 4, RCModel.NO_RESET)
+    sim = FastSimulator(out.program, cfg)
+    sim.run()
+    assert sim._compiled_entry[3] == {}
+    tight = dataclasses.replace(cfg, max_cycles=200)
+    sim = FastSimulator(out.program, tight)
+    with pytest.raises(CycleBudgetError):
+        sim.run()
+    checked = sim._compiled_entry[3]
+    assert checked
+    codes = dict(checked)
+    with pytest.raises(CycleBudgetError):
+        FastSimulator(out.program, tight).run()
+    assert checked == codes and all(checked[k] is codes[k] for k in codes)
+
+
+@pytest.mark.parametrize("name", ("cmp", "tomcatv"))
+def test_fast_blocks_carry_no_budget_tests(name):
+    """The default module: no budget test, one counter per block, and a
+    loop only in self-loop blocks."""
+    for width, model in BUDGET_CONFIGS:
+        _module, out, cfg = _point(name, width, model)
+        dec = Simulator(out.program, cfg)._decoded
+        source, _consts, blocks = _Codegen(out.program, cfg, dec).generate()
+        assert "MAXC" not in source and "_mxe(" not in source
+        funcs = source.split("def _b")[1:]
+        assert len(funcs) == len(blocks)
+        for (lead, body), text in zip(blocks, funcs):
+            assert text.count("IC[") == 1, lead
+            assert f"IC[{lead}] += 1" in text
+            term = dec[body[-1]]
+            loops = term.target == lead and term.kind in (K_CBR, K_JMP)
+            assert text.count("while 1:") == int(loops), lead
