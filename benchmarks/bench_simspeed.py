@@ -7,7 +7,17 @@ Measures instructions/second for both engines over
   on the unlimited-register machine at issue rates 1/2/4/8 — the exact
   sweep behind Figure 7; and
 * a **microbenchmark**: a tight straight-line arithmetic loop that stays
-  on the fast engine's bundle-replay path.
+  on the fast engine's bundle-replay path; and
+* the **tier** section: the crossover behind ``TIER_UP_CYCLES``.  Two
+  groups, one config per program: 80 ``gen_machine_program`` programs
+  (seeds 2000-2079, each on one ``fuzz_configs`` config; the job
+  service's short traffic) and the 12 fig07 benchmarks on the
+  unlimited-register machine at issue rate 4 (long runs).  Each program
+  runs cold on the reference engine, the fast engine (code generation +
+  run) and the tiered default path of ``simulate()``, on a fresh copy of
+  the program per run so no engine reuses generated code.  The tiered
+  outcome must equal the reference's: error type and message, or full
+  stats, halting state, memory and both register files.
 
 Methodology: each (benchmark, config) point is compiled once; both engines
 then get one warmup run — whose results are compared field-by-field, the
@@ -45,12 +55,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.compiler import compile_module  # noqa: E402
 from repro.isa import Imm, Instr, Opcode, PhysReg, RClass  # noqa: E402
 from repro.rc import RCModel  # noqa: E402
+from repro.fuzz import fuzz_configs, gen_machine_program  # noqa: E402
 from repro.sim import (  # noqa: E402
     BatchedSimulator,
     FastSimulator,
     Simulator,
     assemble,
     paper_machine,
+    simulate,
     unlimited_machine,
 )
 from repro.workloads import ALL_BENCHMARKS, build_workload, workload  # noqa: E402
@@ -280,6 +292,92 @@ def bench_sweep_batched(scale: int, repeat: int) -> tuple[dict, list]:
     return summary, problems
 
 
+#: The tier section's short-program group: generated fuzz programs.
+TIER_FUZZ_SEEDS = range(2000, 2080)
+
+
+def _tier_groups(scale: int) -> dict[str, list]:
+    """(label, program, config) triples of the tier section, per group."""
+    fuzz = []
+    for seed in TIER_FUZZ_SEEDS:
+        gen = gen_machine_program(seed)
+        configs = fuzz_configs(gen.has_connects)
+        fuzz.append((f"fuzz{seed}", gen.program,
+                     configs[seed % len(configs)]))
+    cfg = unlimited_machine(issue_width=4)
+    fig07 = [(name, compile_module(build_workload(name, scale=scale),
+                                   cfg).program, cfg)
+             for name in ALL_BENCHMARKS]
+    return {"fuzz": fuzz, "fig07": fig07}
+
+
+def _final(run):
+    """A run's full observable outcome, or its error's type and message."""
+    try:
+        res = run()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return (res.stats, res.halted, res.state.memory, res.state.int_regs,
+            res.state.fp_regs)
+
+
+def _time_cold(run, program, repeat: int) -> float:
+    """Best-of-*repeat* time of ``run(copy)``, each on a fresh copy of
+    *program* so the fast engine's per-program code cache never hits."""
+    best = float("inf")
+    for _ in range(repeat):
+        prog = copy.deepcopy(program)
+        t0 = time.perf_counter()
+        try:
+            run(prog)
+        except Exception:  # noqa: BLE001 - a faulting run is timed too
+            pass
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def bench_tier(scale: int, repeat: int) -> tuple[dict, list]:
+    """Reference vs fast (codegen + run) vs tiered, per program group."""
+    groups, problems = {}, []
+    for group, triples in _tier_groups(scale).items():
+        points = []
+        for label, program, cfg in triples:
+            engines = {
+                "ref": lambda p, c=cfg: Simulator(p, c).run(),
+                "fast": lambda p, c=cfg: FastSimulator(p, c).run(),
+                "tiered": lambda p, c=cfg: simulate(p, c, engine="fast"),
+            }
+            want = _final(lambda: engines["ref"](program))
+            tiered = simulate(copy.deepcopy(program), cfg, engine="fast")
+            if _final(lambda: engines["tiered"](
+                    copy.deepcopy(program))) != want:
+                problems.append(f"tier {label}: tiered run diverges from "
+                                f"the reference")
+            point = {"label": label, "static": len(program.instrs),
+                     "instructions": tiered.stats.instructions,
+                     "cycles": tiered.stats.cycles,
+                     "engine": tiered.engine,
+                     "handoff_cycle": tiered.handoff_cycle}
+            for name, run in engines.items():
+                point[f"{name}_seconds"] = _time_cold(run, program, repeat)
+            points.append(point)
+        totals = {f"{name}_seconds": sum(p[f"{name}_seconds"]
+                                         for p in points)
+                  for name in ("ref", "fast", "tiered")}
+        ratios = sorted(p["instructions"] / p["static"] for p in points)
+        groups[group] = {
+            "points": points,
+            "programs": len(points),
+            **totals,
+            "no_codegen_runs": sum(p["engine"] == "reference"
+                                   for p in points),
+            "median_dynamic_per_static": ratios[len(ratios) // 2],
+            "tiered_vs_best": totals["tiered_seconds"]
+            / min(totals["ref_seconds"], totals["fast_seconds"]),
+        }
+    return groups, problems
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("-o", "--output", default=None,
@@ -299,6 +397,8 @@ def main(argv=None) -> int:
     problems.extend(micro_problems)
     sweep, sweep_problems = bench_sweep_batched(args.scale, args.repeat)
     problems.extend(sweep_problems)
+    tier, tier_problems = bench_tier(args.scale, args.repeat)
+    problems.extend(tier_problems)
 
     report = {
         "scale": args.scale,
@@ -309,6 +409,7 @@ def main(argv=None) -> int:
         "fig07_set": fig07,
         "microbench": micro,
         "sweep_batched": sweep,
+        "tier": tier,
     }
     text = json.dumps(report, indent=2)
     if args.output:
@@ -328,6 +429,12 @@ def main(argv=None) -> int:
           f"fast {sweep['fast_points_per_sec']:.1f} points/s, "
           f"batched {sweep['batched_points_per_sec']:.1f} points/s "
           f"-> {sweep['speedup']:.2f}x")
+    for group, g in tier.items():
+        print(f"tier {group} ({g['programs']} programs, "
+              f"{g['no_codegen_runs']} without codegen): "
+              f"ref {g['ref_seconds']:.3f}s, fast {g['fast_seconds']:.3f}s, "
+              f"tiered {g['tiered_seconds']:.3f}s "
+              f"({g['tiered_vs_best']:.2f}x the faster engine)")
     if problems:
         print(f"PARITY FAILURES ({len(problems)}):", file=sys.stderr)
         for p in problems:

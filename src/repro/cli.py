@@ -138,6 +138,13 @@ def _compile_benchmark(args):
     return w, module, config, out
 
 
+def _engine_text(result) -> str:
+    """Which engine produced *result*, and where a tiered run handed off."""
+    if result.handoff_cycle is None:
+        return result.engine
+    return f"{result.engine} (handoff at cycle {result.handoff_cycle})"
+
+
 def cmd_list(_args) -> int:
     for name in ALL_BENCHMARKS:
         w = workload(name)
@@ -171,6 +178,7 @@ def cmd_run(args) -> int:
           f"{out.stats.extended_vregs} extended")
     status = "OK" if got == want else "MISMATCH"
     print(f"verification  checksum {got!r} vs interpreter {want!r}: {status}")
+    print(f"engine        {_engine_text(result)}")
     return 0 if got == want else 1
 
 
@@ -330,6 +338,7 @@ def cmd_asm(args) -> int:
             value = result.load_word(addr, default=None)
             shown = repr(value) if value is not None else "(never written)"
             print(f"mem[{addr}] = {shown}")
+    print(f"engine   {_engine_text(result)}")
     return 0
 
 

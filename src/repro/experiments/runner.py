@@ -174,6 +174,9 @@ class ExperimentRunner:
         self.cache_misses = 0
         self.compile_hits = 0
         self.compile_misses = 0
+        #: engine that simulated the last :meth:`run` (see
+        #: :attr:`SimResult.engine`), ``None`` when it hit the cache.
+        self.last_engine: str | None = None
 
     #: the counter attributes :meth:`counters` snapshots.
     COUNTER_FIELDS = ("cache_hits", "cache_misses",
@@ -335,6 +338,7 @@ class ExperimentRunner:
                              unroll_factor=unroll_factor,
                              num_windows=num_windows)
         record = self._load(key)
+        self.last_engine = None
         if record is not None and (record.cpi is not None or not collect_cpi):
             self.cache_hits += 1
             return record
@@ -348,6 +352,7 @@ class ExperimentRunner:
             result = Simulator(out.program, config, observer=observer).run()
         else:
             result = simulate(out.program, config, engine=self.engine)
+        self.last_engine = result.engine
         record = self._make_record(benchmark, config, module, out, result,
                                    observer)
         self._store(key, record)

@@ -32,6 +32,7 @@ from repro.fuzz.oracles import (
     interp_parity,
     resume_parity,
     sim_parity,
+    tier_parity,
 )
 from repro.fuzz.runner import FuzzOptions, FuzzReport, run_fuzz
 from repro.fuzz.shrink import shrink_machine, shrink_module
@@ -58,4 +59,5 @@ __all__ = [
     "shrink_machine",
     "shrink_module",
     "sim_parity",
+    "tier_parity",
 ]

@@ -5,7 +5,9 @@ Three oracle families (ISSUE 6 / ROADMAP item 1):
 * **engine parity** — the fast simulator and the specializing IR
   interpreter must be bit-exact with their references: full
   :class:`SimStats`, memory image, both register files, halting state, and
-  (when either side faults) the exact exception type and message.
+  (when either side faults) the exact exception type and message.  The
+  same holds for a run that hands over from the reference engine to
+  generated code mid-way (``tier_parity``).
 * **checker soundness** — a program the static checker passes with zero
   errors must never raise a (non arithmetic-fault) simulation error at
   runtime; targeted mutations that change behavior must surface a finding.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from random import Random
 
 from repro.analyze import check_program
 from repro.compiler import CompileOptions, compile_module
@@ -32,6 +35,7 @@ from repro.isa.registers import RClass
 from repro.rc import RCModel
 from repro.sim import FastSimulator, Simulator, paper_machine
 from repro.sim.config import MachineConfig
+from repro.sim.core import TIER_UP_CYCLES
 
 #: Reset models every fuzz run sweeps (no-reset, the paper default, and the
 #: read-reset extension) — three points that exercise every mapping-table
@@ -338,10 +342,20 @@ def resume_parity(program, config, chunk: int = 7) -> str | None:
             raise AssertionError("re-run after halt changed the result")
         return result
 
-    for name, cls in (("reference", Simulator), ("fast", FastSimulator)):
-        exc, seg = _outcome(lambda cls=cls: _segmented(cls))
+    def _stop_and_finish():
+        # A fast simulator stopped by one segment (usually mid-block)
+        # finishes with a plain run(): it steps to a block leader, then
+        # resumes on generated code.
+        sim = FastSimulator(program, config)
+        sim.run(until_cycle=chunk)
+        return sim.run()
+
+    for name, run in (("segmented reference", lambda: _segmented(Simulator)),
+                      ("segmented fast", lambda: _segmented(FastSimulator)),
+                      ("stopped-then-finished fast", _stop_and_finish)):
+        exc, seg = _outcome(run)
         if exc != full_exc:
-            return (f"segmented {name} outcome {exc!r} vs full reference "
+            return (f"{name} outcome {exc!r} vs full reference "
                     f"{full_exc!r}")
         if seg is None:
             continue
@@ -352,8 +366,47 @@ def resume_parity(program, config, chunk: int = 7) -> str | None:
             ("fp_regs", seg.state.fp_regs, full.state.fp_regs),
         ):
             if a != b:
-                return (f"segmented {name} {what} diverge: {a!r} vs full "
-                        f"{b!r}")
+                return f"{name} {what} diverge: {a!r} vs full {b!r}"
+    return None
+
+
+def tier_parity(program, config, seed: int = 0) -> str | None:
+    """Tiered-run parity: a run that starts on the reference engine and
+    hands over to generated code (a ``run(until_cycle=K)`` segment, then a
+    :class:`FastSimulator` adopting that reference) must equal one
+    reference run: the exception type and message, or the full
+    :class:`SimStats`, halting state, memory and both register files.  The
+    handoff is tried at cycle 0, at cycle 1, at a seeded mid-run cycle, at
+    :data:`~repro.sim.core.TIER_UP_CYCLES` (the :func:`~repro.sim.simulate`
+    default) and past the run's end."""
+    full_exc, full = _outcome(lambda: Simulator(program, config).run())
+    end = full.stats.cycles if full is not None else TIER_UP_CYCLES
+    mid = Random(seed).randrange(2, max(3, end))
+
+    def _tiered(handoff):
+        ref = Simulator(program, config)
+        segment = ref.run(until_cycle=handoff)
+        if segment.halted:
+            return segment
+        return FastSimulator(program, config, reference=ref).run()
+
+    for handoff in (0, 1, mid, TIER_UP_CYCLES, end + 1):
+        exc, res = _outcome(lambda h=handoff: _tiered(h))
+        if exc != full_exc:
+            return (f"handoff at cycle {handoff}: outcome {exc!r} vs "
+                    f"reference {full_exc!r}")
+        if res is None:
+            continue
+        for what, a, b in (
+            ("stats", res.stats, full.stats),
+            ("halted", res.halted, full.halted),
+            ("memory", res.state.memory, full.state.memory),
+            ("int_regs", res.state.int_regs, full.state.int_regs),
+            ("fp_regs", res.state.fp_regs, full.state.fp_regs),
+        ):
+            if a != b:
+                return (f"handoff at cycle {handoff}: {what} diverge: "
+                        f"tiered {a!r} vs reference {b!r}")
     return None
 
 

@@ -3,10 +3,10 @@
 One *iteration* is either
 
 * an **asm** iteration — one generated :class:`MachineProgram` checked for
-  engine parity on the full model × width matrix, checker soundness on the
-  (width, model) diagonal, plus a handful of mutants (parity again, and
-  checker completeness for targeted ``nop_connect`` mutants and a
-  load-latency perturbation config), or
+  engine parity and tiered-handoff parity on the full model × width
+  matrix, checker soundness on the (width, model) diagonal, plus a handful
+  of mutants (parity again, and checker completeness for targeted
+  ``nop_connect`` mutants and a load-latency perturbation config), or
 * an **ir** iteration — one generated module checked for interpreter
   parity and compile determinism, then compiled for each fuzz model and
   the compiled output pushed through the machine-level oracles.
@@ -54,6 +54,7 @@ from repro.fuzz.oracles import (
     opt_parity,
     resume_parity,
     sim_parity,
+    tier_parity,
 )
 from repro.fuzz.shrink import shrink_machine, shrink_module
 from repro.isa.asmparse import AsmError, parse_program
@@ -175,6 +176,8 @@ class _Session:
         self._check_asm_parity(program, _perturbed_config(), seed,
                                tag="load-latency=4")
         self._check_resume(program, diagonal[seed % len(diagonal)], seed)
+        for i, config in enumerate(configs):
+            self._check_tier(program, config, seed, seed * len(configs) + i)
         self._check_batched(program, seed)
         self._check_opt_parity(program, seed)
 
@@ -208,6 +211,17 @@ class _Session:
         predicate = lambda p: resume_parity(p, config) is not None  # noqa: E731
         self._record(Divergence(
             oracle="resume-parity", detail=problem, level="asm", seed=seed,
+            config=_config_tag(config),
+            reproducer=self._shrunk_asm(program, predicate)))
+
+    def _check_tier(self, program, config, seed, tier_seed) -> None:
+        self.report.bump("tier_runs")
+        problem = tier_parity(program, config, tier_seed)
+        if problem is None:
+            return
+        predicate = lambda p: tier_parity(p, config, tier_seed) is not None  # noqa: E731
+        self._record(Divergence(
+            oracle="tier-parity", detail=problem, level="asm", seed=seed,
             config=_config_tag(config),
             reproducer=self._shrunk_asm(program, predicate)))
 
@@ -406,6 +420,13 @@ class _Session:
             if problem is not None:
                 self._record(Divergence(
                     oracle="resume-parity", detail=problem, level="asm",
+                    case_name=case.name, config=_config_tag(config),
+                    reproducer=case.text))
+            self.report.bump("tier_runs")
+            problem = tier_parity(program, config)
+            if problem is not None:
+                self._record(Divergence(
+                    oracle="tier-parity", detail=problem, level="asm",
                     case_name=case.name, config=_config_tag(config),
                     reproducer=case.text))
         self.report.bump("gang_runs")

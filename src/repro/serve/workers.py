@@ -41,6 +41,9 @@ _QUEUE = None
 _RECORDS_DIR: str | None = None
 _RUNNERS: dict = {}
 _PARSED: dict = {}
+#: Extra ``meta`` fields of the running job (which engine simulated), set
+#: by its job kind and shipped home by :func:`execute_job`.
+_JOB_META: dict = {}
 
 
 def init_worker(queue, artifact_dir: str) -> None:
@@ -138,6 +141,13 @@ def _job_check(job_id: str, payload: dict) -> dict:
             "report": report.to_dict()}
 
 
+def _note_engine(result) -> None:
+    """Record which engine produced *result* in the job's meta."""
+    _JOB_META["engine"] = result.engine
+    if result.handoff_cycle is not None:
+        _JOB_META["handoff_cycle"] = result.handoff_cycle
+
+
 def _observing_simulate(job_id: str, program, config):
     """Reference-engine run with the observe event bus forwarding
     sampled events to the parent through the progress queue."""
@@ -151,6 +161,7 @@ def _observing_simulate(job_id: str, program, config):
     result = Simulator(program, config, observer=observer).run()
     _put({"job": job_id, "stream": "observe", "type": "summary",
           "forwarded": forwarder.forwarded, "dropped": forwarder.dropped})
+    _note_engine(result)
     return result
 
 
@@ -166,6 +177,7 @@ def _job_simulate(job_id: str, payload: dict) -> dict:
         else:
             result = simulate(program, config,
                               engine=payload.get("engine"))
+            _note_engine(result)
         out = {"machine": config.describe(),
                "cycles": result.cycles,
                "instructions": result.stats.instructions,
@@ -186,6 +198,8 @@ def _job_simulate(job_id: str, payload: dict) -> dict:
                 "ipc": result.stats.ipc}
     opts = options_from_payload(payload.get("options"))
     record = runner.run(payload["benchmark"], config, **opts)
+    if runner.last_engine is not None:
+        _JOB_META["engine"] = runner.last_engine
     return {"machine": config.describe(),
             "record": dataclasses.asdict(record)}
 
@@ -275,12 +289,15 @@ def execute_job(job_id: str, kind: str, payload: dict) -> tuple:
     ``{"type", "message"}`` error, and *meta* carries the worker pid,
     elapsed seconds, and the runner cache-counter delta for the parent's
     stats aggregation (workers are forked copies, so counters must be
-    shipped home explicitly — same discipline as the sweep executor).
+    shipped home explicitly — same discipline as the sweep executor).  A
+    job that simulated also reports its ``engine`` (and, when a tiered run
+    handed off, ``handoff_cycle``).
     """
     started = time.perf_counter()
     _put({"job": job_id, "stream": "lifecycle", "type": "started",
           "pid": os.getpid(), "kind": kind})
     before = {key: runner.counters() for key, runner in _RUNNERS.items()}
+    _JOB_META.clear()
     try:
         body = _KINDS[kind](job_id, payload)
         status = "ok"
@@ -296,7 +313,7 @@ def execute_job(job_id: str, kind: str, payload: dict) -> tuple:
             delta[name] = delta.get(name, 0) + value - prior.get(name, 0)
     meta = {"pid": os.getpid(),
             "elapsed": time.perf_counter() - started,
-            "counters": delta}
+            "counters": delta, **_JOB_META}
     _put({"job": job_id, "stream": "lifecycle", "type": "finished",
           "status": status, "elapsed": round(meta["elapsed"], 6)})
     return status, body, meta

@@ -1236,7 +1236,8 @@ class BatchedSimulator:
             stats = _follower_stats(lres.stats, cycles, st0, st1, st2, st3)
             state = _clone_state(lres.state, cfg)
             outcomes[s] = GangOutcome(
-                s, cfg, SimResult(stats=stats, state=state, halted=True),
+                s, cfg, SimResult(stats=stats, state=state, halted=True,
+                                  engine="batched"),
                 None, True)
 
     # -- delegation -------------------------------------------------------------

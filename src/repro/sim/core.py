@@ -28,7 +28,7 @@ which tests compare against the IR interpreter's golden results.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import CycleBudgetError, SimulationError
 from repro.isa.opcodes import Opcode
@@ -80,11 +80,20 @@ _UNWRITTEN = object()
 
 @dataclass
 class SimResult:
-    """Outcome of one simulation run (or run segment, when resumable)."""
+    """Outcome of one simulation run (or run segment, when resumable).
+
+    ``engine`` names the engine that produced the result: ``"reference"``,
+    ``"fast"`` (generated code, see :mod:`repro.sim.fastpath`) or
+    ``"batched"`` (a gang follower's replay).  ``handoff_cycle`` is the
+    cycle at which a fast run took over from reference-engine segments,
+    ``None`` when no handoff happened.  Neither takes part in equality.
+    """
 
     stats: SimStats
     state: MachineState
     halted: bool = True
+    engine: str = field(default="reference", compare=False)
+    handoff_cycle: int | None = field(default=None, compare=False)
 
     @property
     def cycles(self) -> int:
@@ -135,6 +144,24 @@ class Simulator:
         #: hooks are guarded by a single ``is not None`` test and only read
         #: simulation state, so observation never perturbs results.
         self.observer = observer
+        # Resumable microarchitectural state, carried across run() segments
+        # (and adopted by the fast engine, which resumes from it).
+        state = self.state
+        self._stats = SimStats()
+        self._iready = [0] * len(state.int_regs)
+        self._fready = [0] * len(state.fp_regs)
+        ient = config.int_spec.core if state.int_table is not None else 0
+        fent = config.fp_spec.core if state.fp_table is not None else 0
+        self._imr_r = [0] * ient
+        self._imr_w = [0] * ient
+        self._fmr_r = [0] * fent
+        self._fmr_w = [0] * fent
+        self._pc = program.entry
+        self._cycle = 0
+        self._halted = False
+        #: set while a segment runs and left set if it raises: registers
+        #: and memory are then half-updated, so neither engine resumes.
+        self._failed = False
 
     # -- decoding ---------------------------------------------------------------
 
@@ -295,24 +322,10 @@ class Simulator:
         program = self.program
         dec = self._decoded
 
-        if getattr(self, "_failed", False):
+        if self._failed:
             raise SimulationError(
                 "cannot resume a simulator after a failed run: "
                 "architectural state is no longer consistent")
-        if not hasattr(self, "_stats"):
-            # First entry: initialize resumable microarchitectural state.
-            self._stats = SimStats()
-            self._iready = [0] * len(state.int_regs)
-            self._fready = [0] * len(state.fp_regs)
-            ient = config.int_spec.core if state.int_table is not None else 0
-            fent = config.fp_spec.core if state.fp_table is not None else 0
-            self._imr_r = [0] * ient
-            self._imr_w = [0] * ient
-            self._fmr_r = [0] * fent
-            self._fmr_w = [0] * fent
-            self._pc = program.entry
-            self._cycle = 0
-            self._halted = False
         stats = self._stats
 
         iregs = state.int_regs
@@ -628,15 +641,26 @@ class Simulator:
         return SimResult(stats=stats, state=state, halted=halted)
 
 
+#: Cycles the default fast path spends on the reference engine before it
+#: generates code.  Runs are bimodal: short jobs (fuzz and serve asm, median
+#: one dynamic instruction per static one) halt well inside this window and
+#: never pay code generation; long runs pay one 128-cycle reference segment.
+#: The crossover is measured by the ``tier`` section of
+#: ``BENCH_simspeed.json`` (``benchmarks/bench_simspeed.py``).
+TIER_UP_CYCLES = 128
+
+
 def simulate(program: MachineProgram, config: MachineConfig,
              engine: str | None = None) -> SimResult:
     """Convenience wrapper: build a simulator and run it.
 
-    ``engine`` selects the execution engine: ``"fast"`` (the specializing
-    engine in :mod:`repro.sim.fastpath`, bit-exact with the reference),
-    ``"batched"`` (the gang simulator in :mod:`repro.sim.batched`, run as a
-    gang of one), or ``"reference"``.  ``None`` defers to the
-    ``REPRO_ENGINE`` environment variable and defaults to the fast engine.
+    ``engine`` selects the execution engine: ``"fast"`` (tiered: the run
+    starts on the reference engine and, if it has not halted after
+    :data:`TIER_UP_CYCLES` cycles, resumes on the specializing engine in
+    :mod:`repro.sim.fastpath`, bit-exact with the reference), ``"batched"``
+    (the gang simulator in :mod:`repro.sim.batched`, run as a gang of one),
+    or ``"reference"``.  ``None`` defers to the ``REPRO_ENGINE`` environment
+    variable and defaults to the fast engine.
     """
     from repro.sim.config import resolve_engine
 
@@ -644,7 +668,11 @@ def simulate(program: MachineProgram, config: MachineConfig,
     if resolved == "fast":
         from repro.sim.fastpath import FastSimulator
 
-        return FastSimulator(program, config).run()
+        ref = Simulator(program, config)
+        result = ref.run(until_cycle=TIER_UP_CYCLES)
+        if result.halted:
+            return result
+        return FastSimulator(program, config, reference=ref).run()
     if resolved == "batched":
         from repro.sim.batched import simulate_gang
 

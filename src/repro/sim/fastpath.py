@@ -48,10 +48,16 @@ branch; ``tests/test_fastpath.py`` asserts equality of cycles, the full
 RC model x issue width, and of the error at every cycle budget around a
 run's end.
 
-The engine transparently delegates to the reference simulator whenever its
-per-event guarantees are needed: an attached observer or trace hook, a
-scheduled interrupt, a resumable ``run(until_cycle=...)`` segment, or a
-program shape the code generator does not support.
+The engine shares its microarchitectural state layout with the reference
+simulator, so the two hand a run over mid-way.  ``run()`` resumes from the
+embedded reference's state: from cycle 0 on a fresh simulator, or where
+earlier reference segments stopped.  A resumed run first steps the
+reference to the next block leader, since generated code enters blocks only
+there; :func:`repro.sim.core.simulate` uses this to start every run on the
+reference engine and tier up after ``TIER_UP_CYCLES``.  ``run()`` stays on
+the reference whenever its per-event guarantees are needed: an attached
+observer or trace hook, a scheduled interrupt, a ``run(until_cycle=...)``
+segment, or a program shape the code generator does not support.
 """
 
 from __future__ import annotations
@@ -91,7 +97,6 @@ from repro.sim.core import (
     _SRC_IMM,
     _SRC_INT,
 )
-from repro.sim.stats import SimStats
 
 __all__ = ["FastSimulator", "program_blocks", "program_leaders"]
 
@@ -889,21 +894,26 @@ def _compiled_generic(program, config, decoded):
 
 
 class FastSimulator:
-    """Drop-in replacement for :class:`Simulator` built on generated code.
+    """Drop-in :class:`Simulator` on generated code; resumes ``reference=`` runs.
 
     Construction decodes through an embedded reference simulator (sharing
     its validation and :class:`MachineState`), so architectural state,
     ``schedule_interrupt``, observers and trace hooks behave identically.
-    ``run()`` executes the specialized engine when it can guarantee bit
-    exactness and silently delegates to the reference engine otherwise;
-    ``ran_fastpath`` reports which engine produced the last result.
+    ``reference=`` adopts an existing reference simulator instead, with its
+    decode, state and any segments it has already run; ``run()`` then
+    resumes from where that reference stopped.  ``run()`` executes the
+    specialized engine when it can guarantee bit exactness and silently
+    delegates to the reference engine otherwise; ``ran_fastpath`` reports
+    which engine produced the last result.
     """
 
     def __init__(self, program, config, trace_hook=None,
                  observer=None, *, decoded=None,
-                 generic_maps=False) -> None:
-        self._ref = Simulator(program, config, trace_hook=trace_hook,
-                              observer=observer, decoded=decoded)
+                 generic_maps=False, reference=None) -> None:
+        if reference is None:
+            reference = Simulator(program, config, trace_hook=trace_hook,
+                                  observer=observer, decoded=decoded)
+        self._ref = reference
         self.program = program
         self.config = config
         self.ran_fastpath = False
@@ -940,26 +950,38 @@ class FastSimulator:
 
     def run(self, until_cycle: int | None = None) -> SimResult:
         ref = self._ref
+        self.ran_fastpath = False
         if (until_cycle is not None
                 or ref.observer is not None
                 or ref.trace_hook is not None
                 or ref._interrupts
-                or hasattr(ref, "_stats")
-                or getattr(ref, "_failed", False)
+                or ref._failed
+                or ref._halted
                 or self._compiled_entry is None):
-            # Per-event guarantees (observation, interrupts, resumability)
-            # or an unsupported program shape: reference engine.  A poisoned
-            # reference (failed earlier run) also lands here so both engines
-            # refuse to resume with the same diagnostic.
-            self.ran_fastpath = False
+            # Per-event guarantees (observation, interrupts, resumable
+            # segments), a halted or poisoned run (both engines return it
+            # again, or refuse it with the same diagnostic) or an
+            # unsupported program shape: reference engine.
             return ref.run(until_cycle)
+        # Generated code enters blocks only at their leaders, so a run that
+        # reference segments left mid-block steps on, one cycle at a time,
+        # to the next leader.  A segment ends on a cycle boundary, where no
+        # issue group is open.
+        leaders = {lead for lead, _body in self._compiled_entry[2]}
+        while ref._pc not in leaders:
+            result = ref.run(ref._cycle + 1)
+            if result.halted:
+                return result
+        if any(ret not in leaders for _psw, ret in ref.state.trap_stack):
+            # An interrupt taken in a segment returns mid-block: the rest
+            # of the run stays on the reference.
+            return ref.run()
         self.ran_fastpath = True
         try:
             return self._run_fast()
         except BaseException:
-            # Architectural state is half-updated and no resume state was
-            # published; mark the embedded reference so a later run() raises
-            # instead of silently restarting from the entry point.
+            # Architectural state is half-updated; poison the embedded
+            # reference so a later run() raises instead of resuming.
             ref._failed = True
             raise
 
@@ -973,17 +995,20 @@ class FastSimulator:
         maxc = config.max_cycles
         itab = state.int_table
         ftab = state.fp_table
-        iready = [0] * len(state.int_regs)
-        fready = [0] * len(state.fp_regs)
-        ient = config.int_spec.core if itab is not None else 0
-        fent = config.fp_spec.core if ftab is not None else 0
-        imr_r = [0] * ient
-        imr_w = [0] * ient
-        fmr_r = [0] * fent
-        fmr_w = [0] * fent
+        # Resume from the reference's microarchitectural state: fresh at
+        # cycle 0, or where its segments stopped.  The ready-time arrays are
+        # shared and updated in place; counters accumulate onto its stats.
+        stats = ref._stats
+        iready = ref._iready
+        fready = ref._fready
+        imr_r = ref._imr_r
+        imr_w = ref._imr_w
+        fmr_r = ref._fmr_r
+        fmr_w = ref._fmr_w
         counts = [0] * n
         # [zero-issue cycles, mispredicts, mem-channel stalls, redirects]
-        st = [0, 0, 0, 0]
+        st = [stats.zero_issue_cycles, stats.mispredicts,
+              stats.mem_channel_stalls, stats.redirect_cycles]
 
         def _mxe(pc):
             raise CycleBudgetError(f"exceeded {maxc} cycles at pc={pc}")
@@ -1028,8 +1053,8 @@ class FastSimulator:
         exec(code, ns)
         funcs = ns["_FUNCS"]
 
-        pc = self.program.entry
-        cycle = 0
+        pc = ref._pc
+        start = cycle = ref._cycle
         issued = 0
         mem_used = 0
         store_seen = False
@@ -1067,7 +1092,6 @@ class FastSimulator:
                 if halted:
                     break
 
-        stats = SimStats()
         by_category = stats.by_category
         by_origin = stats.by_origin
         instructions = 0
@@ -1082,25 +1106,17 @@ class FastSimulator:
                     by_origin[d.origin] += cnt
                     if d.kind == K_CBR:
                         branches += cnt
-        stats.instructions = instructions
-        stats.branches = branches
-        stats.zero_issue_cycles = st[0]
-        stats.mispredicts = st[1]
-        stats.mem_channel_stalls = st[2]
-        stats.redirect_cycles = st[3]
+        stats.instructions += instructions
+        stats.branches += branches
+        (stats.zero_issue_cycles, stats.mispredicts,
+         stats.mem_channel_stalls, stats.redirect_cycles) = st
         stats.cycles = cycle
 
-        # Publish the final microarchitectural state into the embedded
-        # reference simulator so a subsequent run() resumes (and returns)
-        # exactly as the reference engine would after halting.
-        ref._stats = stats
-        ref._iready = iready
-        ref._fready = fready
-        ref._imr_r = imr_r
-        ref._imr_w = imr_w
-        ref._fmr_r = fmr_r
-        ref._fmr_w = fmr_w
+        # Publish the final position into the embedded reference simulator
+        # so a subsequent run() returns exactly as the reference engine
+        # would after halting.
         ref._pc = pc
         ref._cycle = cycle
         ref._halted = True
-        return SimResult(stats=stats, state=state, halted=True)
+        return SimResult(stats=stats, state=state, halted=True,
+                         engine="fast", handoff_cycle=start or None)

@@ -76,6 +76,9 @@ def test_gang_parity_models_and_widths(name):
         single = FastSimulator(program, cfg).run()
         label = f"{name} w{cfg.issue_width} {cfg.rc_model.name}"
         _assert_slot_equals(outcome, single, label)
+    # Class leaders run generated code; every other slot is a replay.
+    engines = {o.result.engine for o in outcomes}
+    assert engines == {"fast", "batched"}, engines
 
 
 def test_gang_of_one_equals_fast():

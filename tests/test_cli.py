@@ -18,6 +18,14 @@ class TestRun:
         assert main(["run", "cmp", "--issue", "2"]) == 0
         out = capsys.readouterr().out
         assert "verification" in out and "OK" in out
+        # cmp outlives the reference segment and tiers up.
+        last = out.strip().splitlines()[-1]
+        assert last.startswith("engine        fast (handoff at cycle ")
+
+    def test_run_reference_engine_reports_it(self, capsys):
+        assert main(["run", "cmp", "--engine", "reference"]) == 0
+        last = capsys.readouterr().out.strip().splitlines()[-1]
+        assert last == "engine        reference"
 
     def test_run_with_rc(self, capsys):
         assert main(["run", "grep", "--rc", "--int-core", "8"]) == 0
@@ -65,7 +73,10 @@ class TestAsm:
             halt
         """)
         assert main(["asm", str(src), "--dump", "900"]) == 0
-        assert "mem[900] = 42" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "mem[900] = 42" in out
+        # Halts inside the reference segment: no code is generated.
+        assert out.strip().splitlines()[-1] == "engine   reference"
 
 
 class TestFigures:

@@ -25,8 +25,8 @@ from repro.sim import (
     simulate,
     unlimited_machine,
 )
-from repro.sim.core import K_CBR, K_JMP
-from repro.sim.fastpath import _Codegen
+from repro.sim.core import K_CBR, K_JMP, TIER_UP_CYCLES
+from repro.sim.fastpath import _code_cache, _Codegen
 from repro.workloads import ALL_BENCHMARKS, build_workload, workload
 
 WIDTHS = (1, 2, 4, 8)
@@ -136,6 +136,47 @@ class TestFallback:
         assert fast.stats.interrupts == 1
         assert fast.state.memory == ref.state.memory
 
+    def test_resume_inside_interrupt_handler_matches(self):
+        """A segment that stops inside an interrupt handler resumes bit-exact.
+        The interrupt's return pc falls mid-block, where generated code
+        cannot return to; while it is on the trap stack at a handler
+        block leader, the rest of the run stays on the reference."""
+        def r(n):
+            return PhysReg(RClass.INT, n)
+
+        prog = assemble([
+            Instr(Opcode.LI, dest=r(5), imm=7),
+            Instr(Opcode.LI, dest=r(6), imm=0),
+            Instr(Opcode.LI, dest=r(7), imm=0),
+            Instr(Opcode.ADD, dest=r(6), srcs=(r(6), r(5))),
+            Instr(Opcode.ADD, dest=r(7), srcs=(r(7), Imm(1))),
+            Instr(Opcode.BLT, srcs=(r(7), Imm(200)), label="loop"),
+            Instr(Opcode.STORE, srcs=(r(6), Imm(0)), imm=900),
+            Instr(Opcode.HALT),
+            # handler (vector 3): a counted loop, then return
+            Instr(Opcode.LI, dest=r(9), imm=0),
+            Instr(Opcode.ADD, dest=r(9), srcs=(r(9), Imm(1))),
+            Instr(Opcode.BLT, srcs=(r(9), Imm(6)), label="spin"),
+            Instr(Opcode.STORE, srcs=(r(9), Imm(0)), imm=901),
+            Instr(Opcode.RTE),
+        ], labels={"loop": 3, "spin": 9}, trap_handlers={3: 8})
+        cfg = paper_machine(issue_width=4, rc_class=RClass.INT)
+        ref_sim = Simulator(prog, cfg)
+        ref_sim.schedule_interrupt(42, 3)
+        ref = ref_sim.run()
+        seen = set()
+        for stop in range(43, 70):
+            sim = FastSimulator(prog, cfg)
+            sim.schedule_interrupt(42, 3)
+            sim.run(until_cycle=stop)
+            in_handler = bool(sim.state.trap_stack)
+            res = sim.run()
+            seen.add((in_handler, res.engine))
+            assert res.stats == ref.stats, stop
+            assert res.state.memory == ref.state.memory, stop
+            assert res.state.int_regs == ref.state.int_regs, stop
+        assert {(True, "reference"), (False, "fast")} <= seen
+
     def test_trap_and_rte_stay_on_fast_path_and_match(self):
         prog = assemble([
             Instr(Opcode.LI, dest=PhysReg(RClass.INT, 5), imm=7),
@@ -169,12 +210,20 @@ class TestFallback:
         sim = FastSimulator(out.program, cfg)
         partial = sim.run(until_cycle=50)
         assert not sim.ran_fastpath
+        assert partial.engine == "reference"
         assert not partial.halted
-        # resuming to completion still matches the reference end state
+        # A plain run() resumes the segment on generated code and ends
+        # exactly where one reference run does.
         final = sim.run()
+        assert sim.ran_fastpath
+        assert final.engine == "fast"
+        assert final.handoff_cycle >= 50
         ref = Simulator(out.program, cfg).run()
-        assert final.stats.cycles == ref.stats.cycles
+        assert final.stats == ref.stats
+        assert final.halted == ref.halted
         assert final.state.memory == ref.state.memory
+        assert final.state.int_regs == ref.state.int_regs
+        assert final.state.fp_regs == ref.state.fp_regs
 
 
 class TestEngineSelection:
@@ -202,6 +251,48 @@ class TestEngineSelection:
         fast = simulate(out.program, cfg, engine="fast")
         ref = simulate(out.program, cfg, engine="reference")
         assert fast.stats == ref.stats
+
+
+class TestTiering:
+    """``simulate()`` starts on the reference engine and tiers up to
+    generated code once a run outlives ``TIER_UP_CYCLES``."""
+
+    def test_short_run_generates_no_code(self):
+        prog = assemble([
+            Instr(Opcode.LI, dest=PhysReg(RClass.INT, 5), imm=7),
+            Instr(Opcode.STORE, srcs=(PhysReg(RClass.INT, 5), Imm(0)),
+                  imm=500),
+            Instr(Opcode.HALT),
+        ])
+        cfg = paper_machine(issue_width=2, rc_class=RClass.INT)
+        before = len(_code_cache)
+        res = simulate(prog, cfg)
+        assert len(_code_cache) == before
+        assert res.engine == "reference" and res.handoff_cycle is None
+        assert res.stats == Simulator(prog, cfg).run().stats
+
+    def test_long_run_hands_off_bit_exact(self):
+        module, out, cfg = _point("cmp", 4, RCModel.WRITE_RESET_READ_UPDATE)
+        res = simulate(out.program, cfg)
+        assert res.engine == "fast"
+        assert TIER_UP_CYCLES <= res.handoff_cycle < res.stats.cycles
+        ref = Simulator(out.program, cfg).run()
+        assert res.stats == ref.stats
+        assert res.state.memory == ref.state.memory
+        assert res.state.int_regs == ref.state.int_regs
+        assert res.state.fp_regs == ref.state.fp_regs
+
+    def test_direct_fast_run_has_no_handoff(self):
+        module, out, cfg = _point("cmp", 2, RCModel.NO_RESET)
+        res = FastSimulator(out.program, cfg).run()
+        assert res.engine == "fast" and res.handoff_cycle is None
+
+    def test_reference_adopts_state_without_redecoding(self):
+        module, out, cfg = _point("cmp", 2, RCModel.NO_RESET)
+        ref = Simulator(out.program, cfg)
+        ref.run(until_cycle=3)
+        sim = FastSimulator(out.program, cfg, reference=ref)
+        assert sim._ref is ref and sim.state is ref.state
 
 
 class TestFaultParity:

@@ -42,6 +42,7 @@ from repro.fuzz.oracles import (
     opt_parity,
     resume_parity,
     sim_parity,
+    tier_parity,
 )
 from repro.fuzz.shrink import delete_range, shrink_machine, shrink_module
 from repro.ir.interp import Interpreter
@@ -214,6 +215,13 @@ class TestProperties:
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 50_000))
+    def test_asm_tier_parity(self, seed):
+        gen = gen_machine_program(seed, AsmGenOptions(max_segments=3))
+        problem = tier_parity(gen.program, CONFIG, seed)
+        assert problem is None, problem
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 50_000))
     def test_asm_opt_parity(self, seed):
         gen = gen_machine_program(seed, AsmGenOptions(max_segments=3))
         problem = opt_parity(gen.program)
@@ -304,6 +312,7 @@ class TestRunner:
         assert report.clean, [d.to_dict() for d in report.divergences]
         assert report.counters["asm_programs"] == 2
         assert report.counters["ir_modules"] == 2
+        assert report.counters["tier_runs"] >= 2 * len(fuzz_configs())
         payload = json.loads(report.to_json())
         assert payload["clean"] is True
         assert payload["counters"]["iterations"] == 4

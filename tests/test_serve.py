@@ -226,6 +226,16 @@ class TestService:
         stats = client.stats()
         assert stats["workers"] == 2 and not stats["draining"]
 
+    def test_simulate_meta_reports_engine(self, client):
+        job = client.wait(client.submit(
+            "simulate", {"asm": SUM_LOOP, "machine": {"issue": 8}}))
+        # Halts inside the reference segment: no code generated.
+        assert job["meta"]["engine"] == "reference"
+        assert "handoff_cycle" not in job["meta"]
+        job = client.wait(client.submit(
+            "simulate", {"benchmark": "cmp", "machine": {"issue": 8}}))
+        assert job["meta"]["engine"] == "fast"
+
     def test_submit_each_kind(self, client):
         result = client.run("simulate", {"asm": SUM_LOOP, "dump": [2048]})
         assert result["memory"]["2048"] == 45
