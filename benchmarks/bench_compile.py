@@ -1,6 +1,5 @@
 """Compile-pipeline speed benchmark: reference profiling interpreter vs the
-specializing fast interpreter (:mod:`repro.ir.fastinterp`), plus the
-parallel per-function backend.
+specializing fast interpreter (:mod:`repro.ir.fastinterp`).
 
 Measures end-to-end :func:`~repro.compiler.compile_module` wall time for
 every benchmark at scale ``REPRO_SCALE`` (default 1) on the default paper
@@ -21,14 +20,12 @@ connect-optimizer benchmark's machine (16 integer / 16 FP core registers,
 RC on the benchmark's hot class, model 3) and records the per-pass table
 with the ``connect-opt`` stage.
 
-Three hard parity gates, checked on every benchmark on both machines:
+Two hard parity gates, checked on every benchmark on both machines:
 
 * the fast engine's :class:`~repro.ir.interp.Profile` equals the
   reference engine's (block, branch, and call counts);
 * the emitted assembly (``format_listing``) is byte-identical between the
-  two engines;
-* the emitted assembly is byte-identical between a serial backend
-  (``jobs=1``) and a parallel one (``jobs=N``).
+  two engines.
 
 Usage::
 
@@ -58,8 +55,6 @@ from repro.sim import MachineConfig  # noqa: E402
 from repro.workloads import (ALL_BENCHMARKS, build_workload,  # noqa: E402
                              workload)
 
-PARALLEL_JOBS = 4
-
 
 def _rc_config(name: str) -> MachineConfig:
     """The connect-optimizer benchmark's machine for *name*: model 3 at
@@ -67,8 +62,8 @@ def _rc_config(name: str) -> MachineConfig:
     return _connectopt_config(workload(name).kind, model=3, width=4)
 
 
-def _options(engine: str, jobs: int = 1) -> CompileOptions:
-    return CompileOptions(ir_engine=engine, jobs=jobs)
+def _options(engine: str) -> CompileOptions:
+    return CompileOptions(ir_engine=engine)
 
 
 def _time_compile(module, config, engine: str, repeat: int) -> tuple[float, float]:
@@ -91,24 +86,18 @@ def _pass_rows(module, config, engine: str) -> list[dict]:
 
 
 def _parity(where: str, module, config) -> tuple[list[str], int]:
-    """Engine and job-count invariance of the program emitted for
-    *config*: (problems, emitted instruction count)."""
+    """Engine invariance of the program emitted for *config*:
+    (problems, emitted instruction count)."""
     ref_out = compile_module(module, config, _options("reference"))
     fast_out = compile_module(module, config, _options("fast"))
-    par_out = compile_module(module, config,
-                             _options("fast", jobs=PARALLEL_JOBS))
     ref_asm = format_listing(ref_out.program.instrs)
     fast_asm = format_listing(fast_out.program.instrs)
-    par_asm = format_listing(par_out.program.instrs)
     problems: list[str] = []
     if ref_out.profile != fast_out.profile:
         problems.append(f"{where}: fast-engine profile diverges from "
                         f"reference")
     if ref_asm != fast_asm:
         problems.append(f"{where}: assembly differs between IR engines")
-    if fast_asm != par_asm:
-        problems.append(f"{where}: assembly differs between jobs=1 and "
-                        f"jobs={PARALLEL_JOBS}")
     return problems, len(ref_out.program)
 
 
@@ -172,7 +161,6 @@ def main(argv=None) -> int:
     report = {
         "scale": args.scale,
         "repeat": args.repeat,
-        "parallel_jobs": PARALLEL_JOBS,
         "python": platform.python_version(),
         "machine": platform.machine(),
         "parity_failures": problems,
@@ -214,7 +202,7 @@ def main(argv=None) -> int:
             print(f"  {p}", file=sys.stderr)
         return 1
     print("parity: OK (profiles equal, assembly byte-identical across "
-          "engines and job counts, default and RC machines)")
+          "engines, default and RC machines)")
     return 0
 
 

@@ -9,7 +9,7 @@ those points to the same program.
 
 Usage::
 
-    PYTHONHASHSEED=0 PYTHONPATH=src python scripts/compile_digest.py
+    PYTHONPATH=src python scripts/compile_digest.py
 """
 
 from __future__ import annotations

@@ -5,12 +5,10 @@ from repro.compiler.frame import FrameLayout, InArg, LocalSlot, OutArg
 from repro.compiler.lower import layout_function, lower_module
 from repro.compiler.opt import OptOptions, optimize_module
 from repro.compiler.pipeline import (
-    COMPILE_JOBS_ENV,
     CompileOptions,
     CompileOutput,
     CompileStats,
     compile_module,
-    resolve_compile_jobs,
 )
 from repro.compiler.regalloc.allocator import (
     AllocationOptions,
@@ -34,7 +32,6 @@ from repro.compiler.sched.listsched import schedule_block_instrs, schedule_funct
 __all__ = [
     "AllocationOptions",
     "AllocationResult",
-    "COMPILE_JOBS_ENV",
     "CompileOptions",
     "CompileOutput",
     "CompileStats",
@@ -59,7 +56,6 @@ __all__ = [
     "optimize_module",
     "priority_order",
     "reference_weights",
-    "resolve_compile_jobs",
     "schedule_block_instrs",
     "schedule_function",
 ]

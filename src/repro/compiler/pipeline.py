@@ -20,8 +20,6 @@ Stage order (see DESIGN.md):
 from __future__ import annotations
 
 import copy
-import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from repro.compiler.alias import annotate_module
@@ -48,24 +46,6 @@ from repro.observe.passes import PassMetrics, maybe_measure
 from repro.sim.config import MachineConfig
 from repro.sim.program import MachineProgram
 
-#: Environment variable selecting the backend worker-process count.
-COMPILE_JOBS_ENV = "REPRO_COMPILE_JOBS"
-
-
-def resolve_compile_jobs(jobs: int | None = None) -> int:
-    """Backend worker count: explicit *jobs*, else ``$REPRO_COMPILE_JOBS``,
-    else 1 (serial — process startup is not worth it for one function)."""
-    if jobs is not None:
-        return max(1, jobs)
-    raw = os.environ.get(COMPILE_JOBS_ENV, "").strip()
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return 1
-
-
 @dataclass
 class CompileOptions:
     opt: OptOptions = field(default_factory=OptOptions)
@@ -79,10 +59,6 @@ class CompileOptions:
     #: IR interpreter engine for the profiling stage ("fast"/"reference");
     #: ``None`` defers to ``$REPRO_IR_ENGINE`` (default fast).
     ir_engine: str | None = None
-    #: Worker processes for the per-function backend (allocate through
-    #: schedule); ``None`` defers to ``$REPRO_COMPILE_JOBS`` (default
-    #: serial).  The emitted program is byte-identical for any job count.
-    jobs: int | None = None
     #: Run the analysis-driven connect optimizer
     #: (:mod:`repro.analyze.optimize`) on the laid-out machine program:
     #: delete dead connects, eliminate redundant ones, hoist loop-invariant
@@ -171,94 +147,6 @@ def _call_graph_reachability(module: Module) -> dict[str, set[str]]:
     return reach
 
 
-@dataclass
-class _BackendTask:
-    """One function's worth of backend work, shipped to a worker process."""
-
-    fn: object
-    profile: Profile
-    config: MachineConfig
-    alloc: AllocationOptions
-    #: Pre-reserved :class:`_SharedCounters` start values for the unlimited
-    #: baseline (``None`` otherwise).  Computed serially so the numbering is
-    #: identical to a serial run regardless of worker scheduling.
-    counter_start: dict | None
-    #: Call labels whose callees can re-enter this function (unlimited
-    #: baseline's recursion-aware save policy); ``None`` = default policy.
-    recursive_callees: frozenset | None
-    schedule: bool
-    is_entry: bool
-
-
-def _backend_one(task: _BackendTask):
-    """Allocate, rewrite, connect, hint, and schedule one function.
-
-    Mirrors the serial stage bodies in :func:`compile_module` exactly; the
-    benchmark harness asserts byte-identical output for any job count.
-    """
-    fn = task.fn
-    config = task.config
-    shared = _SharedCounters()
-    if task.counter_start is not None:
-        shared.next = dict(task.counter_start)
-    result = allocate_function(fn, task.profile, config.int_spec,
-                               config.fp_spec, task.alloc,
-                               shared_counters=shared)
-
-    ext_threshold = {RClass.INT: config.int_spec.core,
-                     RClass.FP: config.fp_spec.core}
-    if task.recursive_callees is not None:
-        rec = task.recursive_callees
-
-        def save_policy(label, reg):
-            return label in rec
-    else:
-        save_policy = None
-    apply_allocation(fn, result, ext_threshold, save_policy)
-    insert_prologue_epilogue(fn, result.frame, result.callee_saves,
-                             result.param_homes, is_entry=task.is_entry)
-    check_no_symbolic_offsets(fn)
-
-    unlimited = config.int_spec.core >= UNLIMITED
-    tracked_indices: dict[RClass, list[int]] = {}
-    for cls in (RClass.INT, RClass.FP):
-        windows = result.windows.get(cls)
-        if windows:
-            spec = config.spec_for(cls)
-            steal_pool = [c for c in spec.allocatable_core()
-                          if c not in set(windows)]
-            insert_connects(fn, cls, ext_threshold[cls], windows,
-                            config.rc_model, steal_pool=steal_pool)
-            tracked_indices[cls] = windows + steal_pool
-        if not unlimited:
-            check_encodable(fn, cls, ext_threshold[cls])
-
-    for block in fn.blocks:
-        term = block.terminator
-        if term is not None and term.is_cond_branch:
-            term.hint_taken = task.profile.predict_taken(fn.name, block.name)
-
-    if task.schedule:
-        schedule_function(fn, config, tracked_indices or None)
-    return fn, result
-
-
-def _counter_starts(module: Module) -> dict[str, dict]:
-    """Per-function :class:`_SharedCounters` start values.
-
-    Replays the serial allocation order (module insertion order, one take
-    per virtual register, FP registers two wide) without allocating, so
-    parallel workers hand out exactly the registers a serial run would.
-    """
-    counters = _SharedCounters()
-    starts: dict[str, dict] = {}
-    for name, fn in module.functions.items():
-        starts[name] = dict(counters.next)
-        for v in fn.vregs():
-            counters.next[v.cls] += 1 if v.cls is RClass.INT else 2
-    return starts
-
-
 def compile_module(module: Module, config: MachineConfig,
                    options: CompileOptions | None = None,
                    entry: str = "main",
@@ -305,40 +193,6 @@ def compile_module(module: Module, config: MachineConfig,
     stats = CompileStats()
     unlimited = config.int_spec.core >= UNLIMITED
     reach = _call_graph_reachability(work) if unlimited else None
-
-    jobs = resolve_compile_jobs(options.jobs)
-    if jobs > 1 and metrics is None and len(work.functions) > 1:
-        # Per-function fan-out of the whole backend (allocate through
-        # schedule).  Functions are independent once the unlimited
-        # baseline's register numbering is pre-reserved; results are
-        # stitched back in module order, so the emitted program is
-        # byte-identical to a serial run.  Metrics runs stay serial: the
-        # per-stage timings are the product there.
-        starts = _counter_starts(work) if unlimited else None
-        tasks = []
-        for fn in work.functions.values():
-            rec = (frozenset(label for label, seen in reach.items()
-                             if fn.name in seen)
-                   if unlimited else None)
-            tasks.append(_BackendTask(
-                fn=fn, profile=profile, config=config, alloc=options.alloc,
-                counter_start=starts[fn.name] if starts else None,
-                recursive_callees=rec, schedule=options.schedule,
-                is_entry=fn.name == entry,
-            ))
-        workers = min(jobs, len(tasks))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_backend_one, tasks))
-        for fn, result in outputs:
-            work.functions[fn.name] = fn
-            allocations[fn.name] = result
-            stats.spilled_vregs += len(result.spilled)
-            stats.extended_vregs += sum(
-                1 for r in result.assignment.values()
-                if r.num >= ext_threshold[r.cls]
-            )
-        return _finish_compile(module, work, config, options, entry, metrics,
-                               profile, interp_result, allocations, stats)
 
     with maybe_measure(metrics, "allocate", work):
         for fn in work.functions.values():
@@ -404,17 +258,6 @@ def compile_module(module: Module, config: MachineConfig,
                 schedule_function(fn, config,
                                   tracked_by_fn[fn.name] or None)
 
-    return _finish_compile(module, work, config, options, entry, metrics,
-                           profile, interp_result, allocations, stats)
-
-
-def _finish_compile(module: Module, work: Module, config: MachineConfig,
-                    options: CompileOptions, entry: str,
-                    metrics: PassMetrics | None, profile: Profile,
-                    interp_result: InterpResult,
-                    allocations: dict[str, AllocationResult],
-                    stats: CompileStats) -> CompileOutput:
-    """Layout, connect optimization, optional check, and accounting."""
     with maybe_measure(metrics, "layout", work):
         program = lower_module(work, entry=entry, name=module.name)
 
@@ -425,9 +268,9 @@ def _finish_compile(module: Module, work: Module, config: MachineConfig,
         from repro.analyze import optimize_connects
 
         with maybe_measure(metrics, "connect-opt", work):
-            result = optimize_connects(program, config)
-        program = result.program
-        connect_opt = result.report
+            optimized = optimize_connects(program, config)
+        program = optimized.program
+        connect_opt = optimized.report
         stats.connects_removed = connect_opt.removed
 
     if options.check:

@@ -2,11 +2,10 @@
 
 The repo carries several redundant implementations that must agree
 bit-exactly: reference vs fast simulator, tree-walking vs specializing IR
-interpreter, serial vs parallel compile backend.  This package generates
-random programs at two levels (IR builder and machine assembly), runs them
-through three oracles (engine parity, checker soundness, compile
-determinism), auto-shrinks any failure, and replays a committed corpus of
-minimized reproducers forever.
+interpreter.  This package generates random programs at two levels (IR
+builder and machine assembly), runs them through three oracles (engine
+parity, checker soundness, compile determinism), auto-shrinks any failure,
+and replays a committed corpus of minimized reproducers forever.
 
 Entry points:
 

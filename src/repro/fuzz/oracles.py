@@ -11,9 +11,8 @@ Three oracle families (ISSUE 6 / ROADMAP item 1):
 * **checker soundness** — a program the static checker passes with zero
   errors must never raise a (non arithmetic-fault) simulation error at
   runtime; targeted mutations that change behavior must surface a finding.
-* **compile determinism** — the serial and parallel compile backends, and
-  the fast and reference IR profiling engines, must produce byte-identical
-  listings.
+* **compile determinism** — compiles profiled by the fast and the
+  reference IR interpreter must produce byte-identical listings.
 
 Every oracle returns ``None`` when it holds and a human-readable
 description of the first disagreement otherwise, so the runner can wrap it
@@ -458,37 +457,24 @@ def mutation_surfaced(original, mutant, config) -> str | None:
 
 
 def compile_determinism(module, config) -> str | None:
-    """Byte-identical listings across jobs=1 / jobs=4 and the fast /
-    reference IR profiling engines."""
-    variants = {
-        "jobs=1": CompileOptions(jobs=1),
-        "jobs=4": CompileOptions(jobs=4),
-        "ir=reference": CompileOptions(jobs=1, ir_engine="reference"),
-    }
-    outputs = {}
-    for name, options in variants.items():
-        exc, out = _outcome(
-            lambda options=options: compile_module(module, config,
-                                                   options=options))
-        outputs[name] = (exc, out)
-    base_name = "jobs=1"
-    base_exc, base = outputs[base_name]
-    base_listing = format_listing(base.program.instrs) if base else None
-    for name, (exc, out) in outputs.items():
-        if name == base_name:
-            continue
-        if exc != base_exc:
-            return (f"compile outcome differs: {base_name} {base_exc!r} "
-                    f"vs {name} {exc!r}")
-        if out is None:
-            continue
-        listing = format_listing(out.program.instrs)
-        if listing != base_listing:
-            return f"listing differs between {base_name} and {name}"
-        if out.program.targets != base.program.targets:
-            return f"branch targets differ between {base_name} and {name}"
-        if out.program.entry != base.program.entry:
-            return f"entry differs between {base_name} and {name}"
-        if out.program.initial_memory != base.program.initial_memory:
-            return f"initial memory differs between {base_name} and {name}"
+    """Byte-identical listings whether the profiling stage runs on the fast
+    or the reference IR engine."""
+    base_exc, base = _outcome(lambda: compile_module(module, config))
+    exc, out = _outcome(lambda: compile_module(
+        module, config, options=CompileOptions(ir_engine="reference")))
+    if exc != base_exc:
+        return (f"compile outcome differs: default {base_exc!r} "
+                f"vs ir=reference {exc!r}")
+    if out is None:
+        return None
+    where = "between default and ir=reference"
+    if format_listing(out.program.instrs) != format_listing(
+            base.program.instrs):
+        return f"listing differs {where}"
+    if out.program.targets != base.program.targets:
+        return f"branch targets differ {where}"
+    if out.program.entry != base.program.entry:
+        return f"entry differs {where}"
+    if out.program.initial_memory != base.program.initial_memory:
+        return f"initial memory differs {where}"
     return None

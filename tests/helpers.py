@@ -45,6 +45,28 @@ def call_module() -> Module:
     return m
 
 
+def call_chain_module() -> Module:
+    """main calls cube(5), which calls square; result (125) in global 'out'."""
+    m = Module("call_chain_demo")
+    m.add_global("out", 1)
+
+    b = FnBuilder(m, "square", params=[("i", "x")], ret="i")
+    (x,) = b.params
+    b.ret(b.mul(x, x))
+    b.done()
+
+    b = FnBuilder(m, "cube", params=[("i", "x")], ret="i")
+    (x,) = b.params
+    b.ret(b.mul(b.call("square", [x], ret="i"), x))
+    b.done()
+
+    b = FnBuilder(m, "main")
+    b.store(b.call("cube", [5], ret="i"), b.la("out"), 0)
+    b.halt()
+    b.done()
+    return m
+
+
 def fp_module() -> Module:
     """main: out = 1.5 * 2.0 + 0.25 (double precision)."""
     m = Module("fp_demo")

@@ -14,7 +14,13 @@ from repro.isa import Opcode, RClass
 from repro.rc import RCModel
 from repro.sim import paper_machine, simulate, unlimited_machine
 
-from helpers import call_module, diamond_module, fp_module, sum_to_n_module
+from helpers import (
+    call_chain_module,
+    call_module,
+    diamond_module,
+    fp_module,
+    sum_to_n_module,
+)
 
 
 def golden(m, gname):
@@ -49,6 +55,7 @@ CONFIGS = [
 @pytest.mark.parametrize("maker,gname", [
     (lambda: sum_to_n_module(23), "out"),
     (call_module, "out"),
+    (call_chain_module, "out"),
     (fp_module, "fout"),
     (diamond_module, "out"),
 ])
@@ -262,73 +269,11 @@ class TestRecursion:
             assert compiled_value(m, "out", cfg) == ref
 
 
-class TestParallelBackend:
-    """jobs=N must emit exactly the program jobs=1 does."""
-
-    def _multi_fn_module(self):
-        m = Module()
-        m.add_global("out", 1)
-        b = FnBuilder(m, "square", params=[("i", "x")], ret="i")
-        (x,) = b.params
-        b.ret(b.mul(x, x))
-        b.done()
-        b = FnBuilder(m, "cube", params=[("i", "x")], ret="i")
-        (x,) = b.params
-        b.ret(b.mul(b.call("square", [x], ret="i"), x))
-        b.done()
-        b = FnBuilder(m, "main")
-        b.store(b.call("cube", [5], ret="i"), b.la("out"), 0)
-        b.halt()
-        b.done()
-        return m
-
-    @pytest.mark.parametrize("cfg_name,cfg", CONFIGS)
-    def test_jobs_parity(self, cfg_name, cfg):
-        m = self._multi_fn_module()
-        serial = compile_module(m, cfg, CompileOptions(jobs=1))
-        parallel = compile_module(m, cfg, CompileOptions(jobs=3))
-        assert ([repr(i) for i in serial.program.instrs]
-                == [repr(i) for i in parallel.program.instrs])
-        assert serial.profile == parallel.profile
-        assert serial.stats == parallel.stats
-        assert set(serial.allocations) == set(parallel.allocations)
-
-    def test_parallel_output_still_simulates(self):
-        m = self._multi_fn_module()
-        cfg = paper_machine()
-        out = compile_module(m, cfg, CompileOptions(jobs=2))
-        assert simulate(out.program, cfg).load_word(
-            m.global_addr("out")) == 125
-
-    def test_jobs_env_resolution(self, monkeypatch):
-        from repro.compiler import COMPILE_JOBS_ENV, resolve_compile_jobs
-        monkeypatch.delenv(COMPILE_JOBS_ENV, raising=False)
-        assert resolve_compile_jobs() == 1
-        assert resolve_compile_jobs(5) == 5
-        monkeypatch.setenv(COMPILE_JOBS_ENV, "3")
-        assert resolve_compile_jobs() == 3
-        assert resolve_compile_jobs(1) == 1  # explicit beats env
-        monkeypatch.setenv(COMPILE_JOBS_ENV, "nonsense")
-        assert resolve_compile_jobs() == 1
-
-    def test_metrics_compile_stays_serial_and_identical(self, monkeypatch):
-        from repro.compiler import COMPILE_JOBS_ENV
-        from repro.observe import PassMetrics
-        m = self._multi_fn_module()
-        cfg = paper_machine()
-        plain = compile_module(m, cfg, CompileOptions(jobs=4))
-        metrics = PassMetrics()
-        measured = compile_module(m, cfg, CompileOptions(jobs=4),
-                                  metrics=metrics)
-        assert ([repr(i) for i in plain.program.instrs]
-                == [repr(i) for i in measured.program.instrs])
-        assert any(r.name == "allocate" for r in metrics.records)
-
-    def test_ir_engine_option_is_output_invariant(self):
-        m = self._multi_fn_module()
-        cfg = paper_machine()
-        fast = compile_module(m, cfg, CompileOptions(ir_engine="fast"))
-        ref = compile_module(m, cfg, CompileOptions(ir_engine="reference"))
-        assert ([repr(i) for i in fast.program.instrs]
-                == [repr(i) for i in ref.program.instrs])
-        assert fast.profile == ref.profile
+def test_ir_engine_option_is_output_invariant():
+    m = call_chain_module()
+    cfg = paper_machine()
+    fast = compile_module(m, cfg, CompileOptions(ir_engine="fast"))
+    ref = compile_module(m, cfg, CompileOptions(ir_engine="reference"))
+    assert ([repr(i) for i in fast.program.instrs]
+            == [repr(i) for i in ref.program.instrs])
+    assert fast.profile == ref.profile
