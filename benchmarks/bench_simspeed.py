@@ -222,6 +222,11 @@ def bench_sweep_batched(scale: int, repeat: int) -> tuple[dict, list]:
     path, one run per config; the gang simulates all 40 in one pass.  Every
     gang slot is compared field-by-field against its single-config fast run
     — the parity gate.
+
+    These gangs span 5 RC models on one compiled program, a shape the sweep
+    executor never issues (its compile key includes the model, so its gangs
+    have one model class).  Each of the 5 class leaders here pays its own
+    code generation.
     """
     points, problems = [], []
     for name in ALL_BENCHMARKS:

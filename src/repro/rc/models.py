@@ -35,9 +35,10 @@ home location (section 4.1): :data:`HOME_RESET_OPS`.
 
 Every consumer — the hardware table, the abstract map, the compiler's map
 emulations, slot liveness and the three simulators — derives its own form
-from these rows once, so a new model is one row.  Within a row, moves that
-copy a map come before moves that reset to home (the generic-maps codegen
-in :mod:`repro.sim.fastpath` relies on that order).
+from these rows once, so a new model is one row.  Every consumer applies a
+row's moves in sequence, so their order is part of the model: model 3
+copies the write map into the read map *before* resetting the write map
+(the other order would leave the read map at home).
 """
 
 from __future__ import annotations

@@ -1184,11 +1184,7 @@ class BatchedSimulator:
         dkey = (lcfg.latency, lcfg.int_spec, lcfg.fp_spec)
         shared = next((d for k, d in self._shared_dec if k == dkey), None)
         try:
-            # generic_maps: the class leaders differ only by RC model, so
-            # they share one generically-generated compile() with the model
-            # selected through const flags (see fastpath._compiled_generic).
-            leader = FastSimulator(self.program, lcfg, decoded=shared,
-                                   generic_maps=True)
+            leader = FastSimulator(self.program, lcfg, decoded=shared)
         except Exception as exc:
             # Decode/validation failure is a class property (it depends only
             # on the program and the register specs): every slot raises it.

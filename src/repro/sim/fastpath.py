@@ -25,6 +25,13 @@ Two layers (ROADMAP: "as fast as the hardware allows"):
    scoreboard polls entirely.  A miss falls back to the specialized
    single-step path, which doubles as the recorder.
 
+There is one kind of generated module: specialized on the full
+``repr(config)``, with the RC model's map moves inlined, and cached per
+program identity (:data:`_code_cache`).  Single-config runs,
+:func:`~repro.sim.core.simulate`'s tier-up and the batched engine's class
+leaders all look modules up there, so a (program, config) pair is generated
+and ``compile()``d once per process.
+
 Two pieces of bookkeeping are paid per block rather than per instruction:
 
 * **Cycle budget.**  A block function starts with one test against its
@@ -62,7 +69,6 @@ segment, or a program shape the code generator does not support.
 
 from __future__ import annotations
 
-import dataclasses
 import re
 import weakref
 
@@ -74,7 +80,7 @@ from repro.errors import CycleBudgetError, SimulationError
 from repro.isa.inline import BRANCH_EXPR as _BR_EXPR
 from repro.isa.inline import alu_stmts as _alu_stmts
 from repro.isa.registers import RClass
-from repro.rc.models import DEFAULT_MODEL, HOME, READ, WRITE, RCModel
+from repro.rc.models import HOME, READ, WRITE
 from repro.sim.core import (
     K_ALU,
     K_CALL,
@@ -116,42 +122,9 @@ _BINDABLE = (
 )
 
 
-def _generic_template(event: str):
-    """Generic-maps template for one event (``"on_write"`` or ``"on_read"``).
-
-    Returns ``(moves, gated)``: every move some model applies after the
-    event, copies before home resets (the order every row keeps), and for
-    each move that some model with rules for the event skips, its flag
-    number.  A generic module emits the moves in order, the gated ones
-    under ``M<event letter><number>`` flags.
-    """
-    rows = [getattr(model, event) for model in RCModel]
-    moves = sorted({mv for row in rows for mv in row},
-                   key=lambda mv: (mv[1] == HOME, mv))
-    for row in rows:
-        assert tuple(mv for mv in moves if mv in row) == row, row
-    gated = {mv: i for i, mv in enumerate(moves)
-             if not all(mv in row for row in rows if row)}
-    return moves, gated
-
-
-_GENERIC = {"W": _generic_template("on_write"),
-            "R": _generic_template("on_read")}
-
 #: Generated-code names of the read/write maps, by ``is_int``.
 _MAP_NAMES = {True: {READ: "IRM", WRITE: "IWM"},
               False: {READ: "FRM", WRITE: "FWM"}}
-
-
-def _generic_flags(model: RCModel) -> dict[str, bool]:
-    """Const flags selecting *model*'s rows inside a generic-maps module:
-    ``MW``/``MR`` (any move after a write/read) and one per gated move."""
-    flags = {}
-    for event, row in (("W", model.on_write), ("R", model.on_read)):
-        flags[f"M{event}"] = bool(row)
-        for mv, i in _GENERIC[event][1].items():
-            flags[f"M{event}{i}"] = mv in row
-    return flags
 
 
 class _Unsupported(Exception):
@@ -212,8 +185,7 @@ class _Codegen:
     advance and no gate or bundle replay.
     """
 
-    def __init__(self, program, config, decoded, generic_maps=False,
-                 checked=False) -> None:
+    def __init__(self, program, config, decoded, checked=False) -> None:
         self.program = program
         self.config = config
         self.dec = decoded
@@ -224,19 +196,7 @@ class _Codegen:
         self.maxc = config.max_cycles
         self.model = config.rc_model
         self.checked = checked
-        #: Generic-maps mode emits the moves of every RC model gated by
-        #: const flags (see :func:`_generic_flags`) instead of inlining one
-        #: model's lines, so one compiled module serves every model — the
-        #: batched engine's class leaders differ only by model and share it.
-        #: The flags bind as keyword defaults like every other const, so the
-        #: cost is a LOAD_FAST and branch per flag on a mapped access.
-        self.generic = generic_maps
-        if generic_maps:
-            self._rules = _GENERIC
-            self._flags = _generic_flags(self.model)
-        else:
-            self._rules = {"W": (self.model.on_write, {}),
-                           "R": (self.model.on_read, {})}
+        self._rules = {"W": self.model.on_write, "R": self.model.on_read}
         self.ient = config.int_spec.core if config.int_spec.has_rc else 0
         self.fent = config.fp_spec.core if config.fp_spec.has_rc else 0
         self.lmax = max(max((d.latency for d in decoded), default=0),
@@ -417,7 +377,7 @@ class _Codegen:
 
     def _emit_read_resets(self, w, ind, d) -> None:
         """The model's moves after the reads (model 5: one-shot reads)."""
-        if self._rules["R"][0]:
+        if self._rules["R"]:
             self._emit_moves(w, ind, "R", [
                 (mode == _SRC_INT, payload) for mode, payload in d.srcs
                 if mode != _SRC_IMM and self._mapped(mode == _SRC_INT)])
@@ -425,28 +385,16 @@ class _Codegen:
     def _emit_moves(self, w, ind, event: str, operands) -> None:
         """Emit the moves after an access through each mapped ``(is_int,
         index)`` operand: *event* ``"W"`` after a write, ``"R"`` after a
-        read.  Generic-maps mode emits every model's moves, gated."""
-        moves, gated = self._rules[event]
+        read."""
+        moves = self._rules[event]
         if not (moves and operands):
             return
-        body = []
+        w(ind + "if map_en:")
         for is_int, idx in operands:
             names = _MAP_NAMES[is_int]
-            for mv in moves:
-                dst, src = mv
+            for dst, src in moves:
                 value = idx if src == HOME else f"{names[src]}[{idx}]"
-                line = f"{names[dst]}[{idx}] = {value}"
-                if mv in gated:
-                    flag = f"M{event}{gated[mv]}"
-                    line = f"if {self._const(flag, self._flags[flag])}: {line}"
-                body.append(line)
-        if self.generic:
-            flag = f"M{event}"
-            w(ind + f"if map_en and {self._const(flag, self._flags[flag])}:")
-        else:
-            w(ind + "if map_en:")
-        for line in body:
-            w(ind + "    " + line)
+                w(ind + f"    {names[dst]}[{idx}] = {value}")
 
     # -- group bookkeeping -----------------------------------------------------
 
@@ -836,17 +784,20 @@ _GUARD = ("if cycle > G: return _CHK({lead}, cycle, issued, mem_used,"
 
 # -- compiled-code cache -------------------------------------------------------
 
-#: id(program) -> (weakref to the program, {config key -> (code, consts,
-#: blocks, {leader -> checked block code}) or None}).  Keyed by identity
-#: because :class:`MachineProgram` is an eq-bearing (hence unhashable)
-#: mutable dataclass, and instances are pickled into the experiment disk
-#: cache, so code objects must never be attached to them.
+#: id(program) -> (weakref to the program, {repr(config) -> (code, consts,
+#: blocks, {leader -> checked block code}) or None}): one module per config
+#: a :class:`FastSimulator` was built for, shared by single runs, tier-up and
+#: gang leaders.  Keyed by identity because :class:`MachineProgram` is an
+#: eq-bearing (hence unhashable) mutable dataclass, and instances are pickled
+#: into the experiment disk cache, so code objects must never be attached to
+#: them.
 _code_cache: dict[int, tuple[object, dict]] = {}
 
 
-def _cached(program, ckey: str, make):
-    """The cache entry of *program* under *ckey*, built by ``make()`` on a
-    miss."""
+def _compiled(program, config, decoded):
+    """Compiled step-function module for (program, config), or ``None`` when
+    the program shape is unsupported.  Cached per program identity, then
+    per ``repr(config)``."""
     key = id(program)
     entry = _code_cache.get(key)
     if entry is None or entry[0]() is not program:
@@ -855,42 +806,17 @@ def _cached(program, ckey: str, make):
         entry = (ref, {})
         _code_cache[key] = entry
     per_config = entry[1]
+    ckey = repr(config)
     if ckey not in per_config:
-        per_config[ckey] = make()
+        try:
+            source, consts, blocks = _Codegen(
+                program, config, decoded).generate()
+        except _Unsupported:
+            per_config[ckey] = None
+        else:
+            code = compile(source, f"<fastpath:{program.name}>", "exec")
+            per_config[ckey] = code, consts, blocks, {}
     return per_config[ckey]
-
-
-def _generate(program, config, decoded, generic_maps=False):
-    try:
-        source, consts, blocks = _Codegen(
-            program, config, decoded, generic_maps=generic_maps).generate()
-    except _Unsupported:
-        return None
-    tag = "fastpath-generic" if generic_maps else "fastpath"
-    code = compile(source, f"<{tag}:{program.name}>", "exec")
-    return code, consts, blocks, {}
-
-
-def _compiled(program, config, decoded):
-    """Compiled step-function module for (program, config), or ``None`` when
-    the program shape is unsupported.  Cached per program identity."""
-    return _cached(program, repr(config),
-                   lambda: _generate(program, config, decoded))
-
-
-def _compiled_generic(program, config, decoded):
-    """Like :func:`_compiled`, but the module is generated in generic-maps
-    mode and cached under the config *minus its RC model*: one ``compile()``
-    serves every model, with the model selected per caller by patching the
-    :func:`_generic_flags` consts.  Used by the batched engine, whose gang
-    leaders differ only by model."""
-    base = dataclasses.replace(config, rc_model=DEFAULT_MODEL)
-    cached = _cached(program, "generic:" + repr(base),
-                     lambda: _generate(program, base, decoded, True))
-    if cached is None:
-        return None
-    code, consts, blocks, checked = cached
-    return code, {**consts, **_generic_flags(config.rc_model)}, blocks, checked
 
 
 class FastSimulator:
@@ -910,6 +836,7 @@ class FastSimulator:
     def __init__(self, program, config, trace_hook=None,
                  observer=None, *, decoded=None,
                  generic_maps=False, reference=None) -> None:
+        """``generic_maps`` is ignored; ``benchmarks/e2e`` still passes it."""
         if reference is None:
             reference = Simulator(program, config, trace_hook=trace_hook,
                                   observer=observer, decoded=decoded)
@@ -917,9 +844,7 @@ class FastSimulator:
         self.program = program
         self.config = config
         self.ran_fastpath = False
-        self._generic = generic_maps
-        lookup = _compiled_generic if generic_maps else _compiled
-        self._compiled_entry = lookup(program, config, self._ref._decoded)
+        self._compiled_entry = _compiled(program, config, self._ref._decoded)
 
     # -- reference-state delegation -------------------------------------------
 
@@ -1022,8 +947,7 @@ class FastSimulator:
             fn = ns.get(f"_c{lead}")
             if fn is None:
                 if lead not in checked:
-                    gen = _Codegen(self.program, config, dec,
-                                   generic_maps=self._generic, checked=True)
+                    gen = _Codegen(self.program, config, dec, checked=True)
                     checked[lead] = compile(
                         gen.checked_block(lead, dict(blocks)[lead]),
                         f"<fastpath-checked:{self.program.name}>", "exec")

@@ -9,6 +9,7 @@ files, and fault types/messages.  Slots that fault or exhaust their cycle
 budget retire without disturbing the rest of the gang.
 """
 
+import copy
 import dataclasses
 
 import pytest
@@ -26,11 +27,11 @@ from repro.sim import (
     simulate,
     simulate_gang,
 )
+from repro.sim import fastpath
 from repro.sim.config import VALID_ENGINES
 from repro.workloads import ALL_BENCHMARKS, build_workload, workload
 
-GANG_MODELS = (RCModel.NO_RESET, RCModel.WRITE_RESET_READ_UPDATE,
-               RCModel.READ_RESET)
+GANG_MODELS = tuple(RCModel)
 GANG_WIDTHS = (1, 2, 4)
 
 #: One compilation per benchmark shared by all assertions.
@@ -273,6 +274,23 @@ class TestDispatch:
             max_cycles=50)
         with pytest.raises(CycleBudgetError):
             simulate(_program(name), cfg, engine="batched")
+
+    def test_leaders_reuse_the_fast_engine_module(self):
+        """A class leader runs the module its config's fast run generated:
+        neither a one-class gang nor ``simulate(engine="batched")`` adds a
+        code-cache entry."""
+        name = ALL_BENCHMARKS[0]
+        # A private copy, so no earlier test has filled its cache entry.
+        program = copy.deepcopy(_program(name))
+        cfg = paper_machine(issue_width=1, rc_class=_rc_class(name))
+        FastSimulator(program, cfg).run()
+        modules = fastpath._code_cache[id(program)][1]
+        assert set(modules) == {repr(cfg)}
+        gang = [cfg, dataclasses.replace(cfg, issue_width=2)]
+        assert all(o.error is None for o in BatchedSimulator(program, gang).run())
+        assert set(modules) == {repr(cfg)}
+        simulate(program, cfg, engine="batched")
+        assert set(modules) == {repr(cfg)}
 
     def test_empty_gang_rejected(self):
         name = ALL_BENCHMARKS[0]
