@@ -6,8 +6,9 @@ Measures instructions/second for both engines over
 * the **fig07 set**: every benchmark at scale ``REPRO_SCALE`` (default 1)
   on the unlimited-register machine at issue rates 1/2/4/8 — the exact
   sweep behind Figure 7; and
-* a **microbenchmark**: a tight straight-line arithmetic loop that stays
-  on the fast engine's bundle-replay path; and
+* a **microbenchmark**: a tight straight-line arithmetic loop, one
+  self-loop block with unmapped operands that iterates inside its
+  generated function for 50,000 passes; and
 * the **tier** section: the crossover behind ``TIER_UP_CYCLES``.  Two
   groups, one config per program: 80 ``gen_machine_program`` programs
   (seeds 2000-2079, each on one ``fuzz_configs`` config; the job
@@ -180,7 +181,7 @@ def bench_fig07_set(scale: int, repeat: int) -> tuple[dict, list]:
 
 
 def _micro_program(iterations: int):
-    """A tight arithmetic loop: the bundle-replay steady state."""
+    """A tight arithmetic loop: one self-loop block, unmapped operands."""
     r = lambda n: PhysReg(RClass.INT, n)  # noqa: E731
     body = [
         Instr(Opcode.LI, dest=r(5), imm=0),          # acc

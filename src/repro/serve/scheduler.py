@@ -31,6 +31,7 @@ import threading
 import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
@@ -148,12 +149,15 @@ class Scheduler:
         self._loop = asyncio.get_running_loop()
         self._manager = multiprocessing.Manager()
         self._queue = self._manager.Queue()
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.workers, initializer=init_worker,
-            initargs=(self._queue, self.artifact_dir))
+        self._pool = self._new_pool()
         self._drain_thread = threading.Thread(
             target=self._drain_events, name="serve-event-drain", daemon=True)
         self._drain_thread.start()
+
+    def _new_pool(self) -> ProcessPoolExecutor:
+        return ProcessPoolExecutor(
+            max_workers=self.workers, initializer=init_worker,
+            initargs=(self._queue, self.artifact_dir))
 
     async def drain(self) -> None:
         """Graceful shutdown: finish in-flight jobs, tear everything down."""
@@ -250,7 +254,14 @@ class Scheduler:
             return job
 
         self._inflight[key] = job
-        future = self._pool.submit(execute_job, job.id, kind, payload)
+        try:
+            future = self._pool.submit(execute_job, job.id, kind, payload)
+        except BrokenProcessPool:
+            # A worker died (its job ended ``worker-lost``) and took the
+            # pool with it: replace the pool so later jobs still run.
+            self._pool.shutdown(wait=False)
+            self._pool = self._new_pool()
+            future = self._pool.submit(execute_job, job.id, kind, payload)
         task = asyncio.ensure_future(self._await_job(job, future))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)

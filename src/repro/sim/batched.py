@@ -28,10 +28,10 @@ So a gang of N configs partitions into *architectural classes* by
 Follower state (scoreboards, map busy times, stats counters) is laid out in
 flat per-slot lists.
 
-Followers accelerate hot self-loop blocks with the PR-3 signature idea
-generalized to mapped operands: an iteration's timing effect is memoized
-keyed on ``(map_en, map contents, clamped busy deltas, clamped ready
-deltas)``, and once the signature stream becomes periodic the replay
+Followers accelerate hot self-loop blocks by memoizing an iteration's
+timing effect, keyed on ``(map_en, map contents, clamped busy deltas,
+clamped ready deltas)``: a follower computes no values, so that key fixes
+the pass's timing.  Once the signature stream becomes periodic the replay
 fast-forwards whole periods in O(1).  Slots that fault or exhaust their
 cycle budget retire from the gang without disturbing the others; shapes the
 replayer cannot prove (``mtpsw``, branch-to-fall-through, an unsupported
@@ -83,10 +83,9 @@ __all__ = [
     "simulate_gang",
 ]
 
-#: Instruction kinds a follower may memoize inside a self-loop block.  Unlike
-#: the PR-3 bundle cache, mapped operands are allowed: the signature carries
-#: the map contents, so the timing replay stays sound under connects and
-#: automatic resets.
+#: Instruction kinds a follower may memoize inside a self-loop block.  Mapped
+#: operands are allowed: the signature carries the map contents, so the
+#: timing replay stays sound under connects and automatic resets.
 _GANG_MEMO_KINDS = frozenset({
     K_ALU, K_LI, K_LOAD, K_STORE, K_NOP, K_CBR, K_CONNECT, K_MFPSW, K_MFMAP,
 })
@@ -99,7 +98,9 @@ _GANG_MAX_SLOTS = 512
 #: Bound on the body length of a memoizable self-loop block.
 _GANG_MAX_BODY = 256
 
-#: Per-plan memo cap, mirroring the PR-3 bundle-cache cap.
+#: Per-plan memo cap: a loop whose timing keeps producing new signatures
+#: stops recording once its memo holds this many, and steps from then on,
+#: so the memo cannot grow without bound.
 _GANG_MEMO_CAP = 512
 
 _POISON_MSG = ("cannot resume a simulator after a failed run: "

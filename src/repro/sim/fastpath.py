@@ -1,29 +1,19 @@
 """Specializing fast-path execution engine, bit-exact with the reference
 :class:`~repro.sim.core.Simulator`.
 
-Two layers (ROADMAP: "as fast as the hardware allows"):
-
-1. **Decode-time specialization.**  The engine generates Python source for
-   every basic block — one ``compile()``d function per block, inlining
-   exactly the operand-resolution branches each instruction needs: source
-   count and classes, map-vs-bypass path for the configured register
-   files, destination interlock, latency constant.  An instruction's
-   interlock is closed-form: the latest ready time of its operands is
-   folded into one bound, and a single test closes the open group and
-   stalls to it.  State is bound through keyword-only default arguments so
-   the hot loop runs on local-variable access, with no per-source
-   ``for mode, payload in d.srcs`` interpretation, no ``_SRC_*`` dispatch,
-   and no repeated attribute loads.
-
-2. **Basic-block issue-bundle caching.**  A self-contained loop block (one
-   whose terminating, predicted-taken conditional branch targets its own
-   leader) with unmapped operands memoizes its issue schedule keyed on a
-   scoreboard-relative signature: the clamped ready-time deltas of every
-   register slot the block touches.  A hit replays the recorded
-   per-instruction issue offsets and stat deltas — values are still computed
-   live, in program order, so runs stay execution-driven — skipping the
-   scoreboard polls entirely.  A miss falls back to the specialized
-   single-step path, which doubles as the recorder.
+**Decode-time specialization.**  The engine generates Python source for
+every basic block — one ``compile()``d function per block, inlining exactly
+the operand-resolution branches each instruction needs: source count and
+classes, map-vs-bypass path for the configured register files, destination
+interlock, latency constant.  An instruction's interlock is closed-form:
+the latest ready time of its operands is folded into one bound, and a
+single test closes the open group and stalls to it.  State is bound through
+keyword-only default arguments so the hot loop runs on local-variable
+access, with no per-source ``for mode, payload in d.srcs`` interpretation,
+no ``_SRC_*`` dispatch, and no repeated attribute loads.  Each block has
+exactly one generated execution path: a self-loop block (one whose
+terminator targets its own leader) iterates inside its function, every
+pass through the same single-step code.
 
 There is one kind of generated module: specialized on the full
 ``repr(config)``, with the RC model's map moves inlined, and cached per
@@ -107,10 +97,6 @@ from repro.sim.core import (
 __all__ = ["FastSimulator", "program_blocks", "program_leaders"]
 
 _CONTROL = frozenset({K_CBR, K_JMP, K_CALL, K_RET, K_HALT, K_TRAP, K_RTE})
-_BUNDLE_KINDS = frozenset({K_ALU, K_LI, K_LOAD, K_STORE, K_NOP, K_CBR})
-_BUNDLE_MAX_LEN = 48
-_BUNDLE_MAX_SLOTS = 32
-_BUNDLE_CACHE_CAP = 512
 
 #: Names a block function may bind as keyword-only defaults; the emitted
 #: body is scanned so each function binds only what it actually uses.
@@ -182,7 +168,7 @@ class _Codegen:
 
     With ``checked=True`` the generator emits the checked variant of single
     blocks instead (:meth:`checked_block`): a budget test after every clock
-    advance and no gate or bundle replay.
+    advance and no gate.
     """
 
     def __init__(self, program, config, decoded, checked=False) -> None:
@@ -255,8 +241,7 @@ class _Codegen:
         the clock; the group close before it, the memory channel, the
         store->load break and the width break (or the control transfer's
         own cycle) add at most one each.  The terminator adds at most one
-        redirect ``RD``.  A bundle replay advances by a recorded pass of the
-        same block, so the bound covers it too; ``+ 4`` is slack.
+        redirect ``RD``; ``+ 4`` is slack.
         """
         return self.maxc - (len(body) * (self.lmax + 4) + self.RD + 4)
 
@@ -326,18 +311,6 @@ class _Codegen:
             else:
                 w(ind + f"r = {e}")
                 w(ind + "if r > b: b = r")
-
-    def _static_vals(self, k: int, d) -> list[str]:
-        """Value expressions with direct physical indices (no mapping)."""
-        vals = []
-        for j, (mode, payload) in enumerate(d.srcs):
-            if mode == _SRC_IMM:
-                vals.append(self._imm_expr(k, j, payload))
-            elif mode == _SRC_INT:
-                vals.append(f"IREGS[{payload}]")
-            else:
-                vals.append(f"FREGS[{payload}]")
-        return vals
 
     # -- execution -------------------------------------------------------------
 
@@ -453,7 +426,7 @@ class _Codegen:
 
     # -- per-instruction emission ----------------------------------------------
 
-    def _emit_instr(self, w, ind, k: int, d, loop_leader, record: bool,
+    def _emit_instr(self, w, ind, k: int, d, loop_leader,
                     is_last: bool) -> None:
         W = self.W
         kind = d.kind
@@ -489,9 +462,6 @@ class _Codegen:
                       or kind == K_CBR and not d.pred_taken):
             # Other control transfers leave with an empty group.
             w(ind + "issued += 1")
-        if record:
-            w(ind + "if _rec is not None:")
-            w(ind + "    _rec.append(cycle - _c0)")
         self._emit_read_resets(w, ind, d)
 
         if kind in (K_ALU, K_LI, K_LOAD, K_MFPSW, K_MFMAP):
@@ -516,7 +486,7 @@ class _Codegen:
             self._emit_connect(w, ind, d)
             self._emit_epilogue(w, ind, k, is_last)
         elif kind == K_CBR:
-            self._emit_cbr(w, ind, k, d, vals, loop_leader, record)
+            self._emit_cbr(w, ind, k, d, vals, loop_leader)
         elif kind == K_JMP:
             w(ind + "cycle += 1")
             self._emit_goto(w, ind, d.target, loop_leader)
@@ -581,20 +551,13 @@ class _Codegen:
             w(ind + "FRM[:] = FHOME")
             w(ind + "FWM[:] = FHOME")
 
-    def _emit_cbr(self, w, ind, k: int, d, vals, loop_leader,
-                  record: bool) -> None:
+    def _emit_cbr(self, w, ind, k: int, d, vals, loop_leader) -> None:
         cond = _BR_EXPR[d.op.name].format(
             a=vals[0], b=vals[1] if len(vals) > 1 else "")
         i2 = ind + "    "
         w(ind + f"if {cond}:")
         if d.pred_taken:
             # Correctly predicted taken: the group cannot fetch past it.
-            if record:
-                w(i2 + "if _rec is not None:")
-                w(i2 + f"    if len(BC) < {_BUNDLE_CACHE_CAP}:")
-                w(i2 + "        BC[_sig] = (tuple(_rec), ST[0] - _z0,"
-                       " ST[2] - _m0)")
-                w(i2 + "    _rec = None")
             w(i2 + "cycle += 1")
             self._emit_goto(w, i2, d.target, loop_leader)
             # Not taken against a taken prediction: mispredict redirect.
@@ -612,105 +575,6 @@ class _Codegen:
             # the fall-through edge.
             self._emit_epilogue(w, ind, k, True)
 
-    # -- issue-bundle caching --------------------------------------------------
-
-    def _bundle_plan(self, lead: int, body: list[int]):
-        """Register slots for memoizing this self-loop block's issue
-        schedule, or ``None`` when the block does not qualify.
-
-        Qualification: predicted-taken conditional-branch terminator
-        targeting the leader, simple kinds only, every register operand
-        unmapped (its file has no RC table, so resolution never consults
-        ``map_en`` or map-ready times), and a bounded register footprint.
-        Replay skips the budget tests a pass would make; the block gate
-        ``G`` (:meth:`_gate`) keeps every replayed pass inside the budget.
-        """
-        dec = self.dec
-        term = dec[body[-1]]
-        if term.kind != K_CBR or not term.pred_taken or term.target != lead:
-            return None
-        if not 2 <= len(body) <= _BUNDLE_MAX_LEN:
-            return None
-        slots: list[tuple[bool, int]] = []
-        seen = set()
-        for k in body:
-            d = dec[k]
-            if d.kind not in _BUNDLE_KINDS:
-                return None
-            operands = [(m == _SRC_INT, p) for m, p in d.srcs
-                        if m != _SRC_IMM]
-            if d.dest is not None:
-                operands.append(d.dest)
-            for is_int, p in operands:
-                if self._mapped(is_int):
-                    return None
-                key = (is_int, p)
-                if key not in seen:
-                    seen.add(key)
-                    slots.append(key)
-        if len(slots) > _BUNDLE_MAX_SLOTS:
-            return None
-        return slots
-
-    def _emit_bundle(self, w, ind, lead: int, body: list[int], slots) -> None:
-        """Loop-top pre-header: signature probe, replay on hit, recorder
-        arming on miss."""
-        i2 = ind + "    "
-        i3 = i2 + "    "
-        w(ind + "if issued == 0:")
-        parts = []
-        for j, (is_int, p) in enumerate(slots):
-            ready = "IREADY" if is_int else "FREADY"
-            parts.append(
-                f"x{j} if (x{j} := {ready}[{p}] - cycle) > 0 else 0")
-        if parts:
-            tail = "," if len(parts) == 1 else ""
-            w(i2 + f"_sig = ({', '.join(parts)}{tail})")
-        else:
-            w(i2 + "_sig = ()")
-        w(i2 + "_e = BC.get(_sig)")
-        w(i2 + "if _e is None:")
-        w(i3 + "_rec = []")
-        w(i3 + "_c0 = cycle")
-        w(i3 + "_z0 = ST[0]")
-        w(i3 + "_m0 = ST[2]")
-        w(i2 + "else:")
-        w(i3 + "_rel = _e[0]")
-        for i, k in enumerate(body[:-1]):
-            d = self.dec[k]
-            vals = self._static_vals(k, d)
-            kind = d.kind
-            if kind in (K_ALU, K_LI, K_LOAD):
-                self._emit_value(w, i3, k, d, vals)
-                if d.dest is not None:
-                    is_int, nm = d.dest
-                    regs = "IREGS" if is_int else "FREGS"
-                    ready = "IREADY" if is_int else "FREADY"
-                    w(i3 + f"{regs}[{nm}] = v")
-                    w(i3 + f"{ready}[{nm}] = cycle + _rel[{i}] +"
-                           f" {d.latency}")
-            elif kind == K_STORE:
-                w(i3 + f"MEM[{vals[1]} + ({d.imm!r})] = {vals[0]}")
-            # K_NOP: nothing to execute.
-        w(i3 + "ST[0] += _e[1]")
-        w(i3 + "ST[2] += _e[2]")
-        termk = body[-1]
-        td = self.dec[termk]
-        tvals = self._static_vals(termk, td)
-        cond = _BR_EXPR[td.op.name].format(
-            a=tvals[0], b=tvals[1] if len(tvals) > 1 else "")
-        B = len(body) - 1
-        w(i3 + f"if {cond}:")
-        w(i3 + f"    cycle += _rel[{B}] + 1")
-        w(i3 + "    " + _GUARD.format(lead=lead))
-        w(i3 + "    continue")
-        w(i3 + "ST[1] += 1")
-        w(i3 + f"ST[3] += {self.RD}")
-        w(i3 + f"cycle += _rel[{B}] + {1 + self.RD}")
-        w(i3 + f"return ({termk + 1}, cycle, 0, 0, False, map_en, False)")
-        w(ind + "else:")
-        w(ind + "    _rec = None")
-
     # -- module assembly -------------------------------------------------------
 
     def _emit_block(self, lead: int, body: list[int]) -> None:
@@ -718,32 +582,22 @@ class _Codegen:
         dec = self.dec
         term = dec[body[-1]]
         self_loop = term.kind in (K_CBR, K_JMP) and term.target == lead
-        plan = (self._bundle_plan(lead, body)
-                if self_loop and not self.checked else None)
         buf: list[str] = []
         w = buf.append
         ind = "    "
         if not self.checked:
             w(ind + _GUARD.format(lead=lead))
         if self_loop:
-            if plan is not None:
-                w(ind + "_rec = None")
             w(ind + "while 1:")
             ind += "    "
         # Every instruction of the block runs as often as its leader.
         w(ind + f"IC[{lead}] += 1")
-        if plan is not None:
-            self._emit_bundle(w, ind, lead, body, plan)
         loop_leader = lead if self_loop else None
         last = len(body) - 1
         for i, k in enumerate(body):
-            self._emit_instr(w, ind, k, dec[k], loop_leader,
-                             plan is not None, i == last)
+            self._emit_instr(w, ind, k, dec[k], loop_leader, i == last)
         text = "\n".join(buf)
         binds = []
-        if plan is not None:
-            self.lines.append(f"BC{lead} = {{}}")
-            binds.append(f"BC=BC{lead}")
         if not self.checked:
             binds.append(f"G={self._gate(body)}")
         names = dict.fromkeys(list(_BINDABLE) + self._block_consts)

@@ -5,6 +5,8 @@ from the acceptance criteria, and the concurrent cache-write stress."""
 import dataclasses
 import json
 import multiprocessing
+import os
+import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -413,6 +415,31 @@ class TestServiceLifecycle:
         waiter.join(timeout=120)
         assert done.get("status") == "done"
         assert not c.healthy()
+
+
+@pytest.fixture()
+def own_server(tmp_path):
+    """A server of its own, for tests that damage its worker pool."""
+    handle = start_in_thread(jobs=2, artifact_dir=str(tmp_path))
+    yield handle
+    handle.stop()
+
+
+class TestWorkerLoss:
+    def test_dead_worker_does_not_wedge_the_service(self, own_server):
+        c = ServeClient(own_server.url)
+        job = c.wait(c.submit("simulate", {"benchmark": "cmp"}))
+        assert job["status"] == "done"
+        pool = own_server.app.scheduler._pool
+        os.kill(next(iter(pool._processes)), signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert pool._broken
+        # Not an artifact hit: this job must reach a live worker.
+        job = c.wait(c.submit("simulate", {"benchmark": "cmp",
+                                           "machine": {"issue": 2}}))
+        assert job["status"] == "done", job.get("error")
 
 
 class TestServeReplay:
