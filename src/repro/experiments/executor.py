@@ -122,30 +122,6 @@ class SweepStats:
 _worker_runners: dict[tuple, ExperimentRunner] = {}
 
 
-def _run_job(scale: int, cache_dir: str, verify: bool, engine: str,
-             job: SweepJob) -> tuple[RunRecord, float, dict]:
-    """Run one job in a worker; returns the record, the elapsed time, and
-    the worker runner's cache-counter *delta* for this job.
-
-    The delta matters because pool workers mutate forked (or freshly
-    constructed) runners the parent never sees: the parent aggregates these
-    per-job deltas so its hit/miss totals stay truthful under ``jobs>1``.
-    """
-    key = (scale, cache_dir, verify, engine)
-    runner = _worker_runners.get(key)
-    if runner is None:
-        runner = ExperimentRunner(scale=scale, cache_dir=cache_dir,
-                                  verify_checksums=verify, engine=engine)
-        _worker_runners[key] = runner
-    before = runner.counters()
-    start = time.perf_counter()
-    record = runner.run(job.benchmark, job.config, **job.kwargs())
-    elapsed = time.perf_counter() - start
-    after = runner.counters()
-    delta = {name: after[name] - before[name] for name in after}
-    return record, elapsed, delta
-
-
 def _gang_eligible(engine: str, group: list[SweepJob]) -> bool:
     """Gang a compile group when the batched engine is selected, the group
     has more than one point, and no point needs a CPI observer (attribution
@@ -154,27 +130,35 @@ def _gang_eligible(engine: str, group: list[SweepJob]) -> bool:
             and not any(job.collect_cpi for job in group))
 
 
-def _run_group(scale: int, cache_dir: str, verify: bool, engine: str,
-               group: list[SweepJob]
-               ) -> tuple[list[tuple[RunRecord | None, float, str | None]],
-                          dict, int]:
-    """Run one compile group in a worker: every job shares a `_compile_key`,
-    so the group compiles once (warm compile memo) — and under the batched
-    engine the whole group simulates as one lockstep gang.
-
-    Returns per-job ``(record, elapsed, error)`` in group order, the
-    runner's counter delta, and the gang size used (0 = per-job runs).
-    """
+def _worker_group(scale: int, cache_dir: str, verify: bool, engine: str,
+                  group: list[SweepJob]):
+    """:func:`_run_group` on this pool worker's memoized runner."""
     key = (scale, cache_dir, verify, engine)
     runner = _worker_runners.get(key)
     if runner is None:
         runner = ExperimentRunner(scale=scale, cache_dir=cache_dir,
                                   verify_checksums=verify, engine=engine)
         _worker_runners[key] = runner
+    return _run_group(runner, group)
+
+
+def _run_group(runner: ExperimentRunner, group: list[SweepJob]
+               ) -> tuple[list[tuple[RunRecord | None, float, str | None]],
+                          dict, int]:
+    """Run one compile group: every job shares a `_compile_key`, so the
+    group compiles once (warm compile memo) — and under the batched engine
+    the whole group simulates as one lockstep gang.
+
+    Returns per-job ``(record, elapsed, error)`` in group order, the
+    runner's counter delta, and the gang size used (0 = per-job runs).
+    The delta matters in pool workers, which mutate runners the parent
+    never sees: the parent absorbs it so its hit/miss totals stay
+    truthful under ``jobs>1``.
+    """
     before = runner.counters()
     out: list[tuple[RunRecord | None, float, str | None]] = []
     gang_n = 0
-    if _gang_eligible(engine, group):
+    if _gang_eligible(runner.engine, group):
         gang_n = len(group)
         start = time.perf_counter()
         outcomes = runner.run_gang(
@@ -358,34 +342,13 @@ class SweepExecutor:
             self.stats.max_gang = max(self.stats.max_gang, size)
 
     def _run_serial(self, jobs, pending, results, done, total) -> int:
-        runner = self.runner
         for idxs in self._group_pending(jobs, pending):
-            group = [jobs[i] for i in idxs]
-            if _gang_eligible(runner.engine, group):
-                self._count_gang(len(group))
-                start = time.perf_counter()
-                outcomes = runner.run_gang(
-                    group[0].benchmark, [job.config for job in group],
-                    opt_level=group[0].opt_level,
-                    unroll_factor=group[0].unroll_factor,
-                    num_windows=group[0].num_windows)
-                share = (time.perf_counter() - start) / len(group)
-                for i, (record, error) in zip(idxs, outcomes):
-                    done = self._finish(i, jobs[i], record, share, error,
-                                        results, done, total)
-                continue
-            for i in idxs:
-                job = jobs[i]
-                start = time.perf_counter()
-                record, error = None, None
-                try:
-                    record = runner.run(job.benchmark, job.config,
-                                        **job.kwargs())
-                except Exception as exc:  # noqa: BLE001 - surfaced per job
-                    error = f"{type(exc).__name__}: {exc}"
-                done = self._finish(i, job, record,
-                                    time.perf_counter() - start,
-                                    error, results, done, total)
+            outcomes, _, gang_n = _run_group(self.runner,
+                                             [jobs[i] for i in idxs])
+            self._count_gang(gang_n)
+            for i, (record, elapsed, error) in zip(idxs, outcomes):
+                done = self._finish(i, jobs[i], record, elapsed, error,
+                                    results, done, total)
         return done
 
     def _run_pool(self, jobs, pending, results, done, total) -> int:
@@ -394,9 +357,9 @@ class SweepExecutor:
         workers = min(self.jobs, len(groups))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
-                pool.submit(_run_group, runner.scale, str(runner.cache_dir),
-                            runner.verify_checksums, runner.engine,
-                            [jobs[i] for i in idxs]): idxs
+                pool.submit(_worker_group, runner.scale,
+                            str(runner.cache_dir), runner.verify_checksums,
+                            runner.engine, [jobs[i] for i in idxs]): idxs
                 for idxs in groups
             }
             outstanding = set(futures)
@@ -421,10 +384,9 @@ class SweepExecutor:
                         if record is not None:
                             # Adopt the worker's record so later
                             # parent-side lookups hit memory, not disk.
-                            key = runner.cache_key(jobs[i].benchmark,
-                                                   jobs[i].config,
-                                                   **jobs[i].kwargs())
-                            runner._memory[key] = record
+                            runner.adopt(runner.cache_key(
+                                jobs[i].benchmark, jobs[i].config,
+                                **jobs[i].kwargs()), record)
                         done = self._finish(i, jobs[i], record, elapsed,
                                             error, results, done, total)
         return done

@@ -13,12 +13,8 @@ optimizations."
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-import logging
 import os
-import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -34,13 +30,12 @@ from repro.sim import (
     simulate,
     unlimited_machine,
 )
+from repro.store import Store
 from repro.workloads import workload
 
 #: Environment variable scaling every benchmark's input size.
 SCALE_ENV = "REPRO_SCALE"
 CACHE_ENV = "REPRO_CACHE_DIR"
-
-log = logging.getLogger(__name__)
 
 #: Packages whose source determines cached results: editing any file under
 #: them must invalidate every previously cached record.
@@ -136,6 +131,11 @@ def _sim_key(config: MachineConfig) -> str:
     return f"x{int(config.extra_decode_stage)}.cy{config.max_cycles}"
 
 
+def _digest(key: str) -> str:
+    """The on-disk store key of one :meth:`ExperimentRunner.cache_key`."""
+    return hashlib.sha256(key.encode()).hexdigest()
+
+
 def _config_key(config: MachineConfig) -> str:
     """A cache key covering *every* cycle-affecting configuration field.
 
@@ -165,6 +165,7 @@ class ExperimentRunner:
         if cache_dir is None:
             cache_dir = os.environ.get(CACHE_ENV, ".repro_cache")
         self.cache_dir = Path(cache_dir)
+        self._disk = Store(self.cache_dir)
         self._memory: dict[str, RunRecord] = {}
         self._golden: dict[str, int | float] = {}
         self._compiled: dict[tuple, tuple] = {}
@@ -187,8 +188,8 @@ class ExperimentRunner:
 
         Pool workers run jobs on *forked copies* of a runner, so counters
         they bump are invisible to the parent; callers that fan out take a
-        snapshot around each remote job and ship the delta back (see
-        :func:`repro.experiments.executor._run_job` and
+        snapshot around each remote compile group and ship the delta back
+        (see :func:`repro.experiments.executor._run_group` and
         :meth:`absorb_counters`).
         """
         return {name: getattr(self, name) for name in self.COUNTER_FIELDS}
@@ -200,61 +201,25 @@ class ExperimentRunner:
 
     # -- caching ---------------------------------------------------------------
 
-    def _cache_path(self, key: str) -> Path:
-        digest = hashlib.sha256(key.encode()).hexdigest()[:24]
-        return self.cache_dir / f"{digest}.pkl"
-
-    @staticmethod
-    def _valid_record(record: object) -> bool:
-        """Reject old-schema pickles that unpickle but lack newer fields."""
-        if not isinstance(record, RunRecord):
-            return False
-        return all(hasattr(record, f.name)
-                   for f in dataclasses.fields(RunRecord))
-
     def _load(self, key: str) -> RunRecord | None:
         record = self._memory.get(key)
-        if record is not None:
-            return record
-        path = self._cache_path(key)
-        if not path.exists():
-            return None
-        try:
-            with path.open("rb") as fh:
-                record = pickle.load(fh)
-        except Exception:
-            record = None
-        if not self._valid_record(record):
-            # Corrupt or old-schema: delete so it is not re-parsed on
-            # every subsequent miss.
-            log.warning("discarding unreadable cache file %s", path)
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
-        self._memory[key] = record
+        if record is None:
+            # A document missing a field or carrying an unknown one (an
+            # old schema) raises in the constructor and is evicted.
+            record = self._disk.get(_digest(key),
+                                    lambda doc: RunRecord(**doc))
+            if record is not None:
+                self._memory[key] = record
         return record
 
     def _store(self, key: str, record: RunRecord) -> None:
         self._memory[key] = record
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            # Atomic write (tmp + os.replace) so concurrent sweep workers
-            # can never observe a torn pickle.
-            fd, tmp = tempfile.mkstemp(dir=self.cache_dir, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "wb") as fh:
-                    pickle.dump(record, fh)
-                os.replace(tmp, self._cache_path(key))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            pass  # caching is best-effort
+        self._disk.put(_digest(key), vars(record))
+
+    def adopt(self, key: str, record: RunRecord) -> None:
+        """Hold *record*, computed and stored on disk by another runner
+        (a pool worker), in this runner's memory tier under *key*."""
+        self._memory[key] = record
 
     # -- golden results ----------------------------------------------------------
 

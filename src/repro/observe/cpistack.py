@@ -152,7 +152,7 @@ class CPIStack:
         return self.components().get(bucket, 0) / self.instructions
 
     def to_dict(self) -> dict:
-        """JSON/pickle-friendly form (used by experiment run records)."""
+        """JSON-friendly form (stored in experiment run records)."""
         return {
             "cycles": self.cycles,
             "instructions": self.instructions,

@@ -642,9 +642,8 @@ _GUARD = ("if cycle > G: return _CHK({lead}, cycle, issued, mem_used,"
 #: blocks, {leader -> checked block code}) or None}): one module per config
 #: a :class:`FastSimulator` was built for, shared by single runs, tier-up and
 #: gang leaders.  Keyed by identity because :class:`MachineProgram` is an
-#: eq-bearing (hence unhashable) mutable dataclass, and instances are pickled
-#: into the experiment disk cache, so code objects must never be attached to
-#: them.
+#: eq-bearing (hence unhashable) mutable dataclass; code objects are kept
+#: here, never attached to the program, so a program stays plain data.
 _code_cache: dict[int, tuple[object, dict]] = {}
 
 

@@ -6,7 +6,7 @@ invalidation, and serial/parallel sweep equivalence.
 """
 
 import dataclasses
-import pickle
+import json
 
 import pytest
 
@@ -19,7 +19,7 @@ from repro.experiments import (
 )
 from repro.experiments import executor as executor_mod
 from repro.experiments import runner as runner_mod
-from repro.experiments.runner import RunRecord, _config_key
+from repro.experiments.runner import _config_key
 from repro.isa import LatencyModel
 from repro.sim import MachineConfig, unlimited_machine
 
@@ -69,39 +69,39 @@ class TestConfigKey:
         assert runner.cached("cmp", _cfg(int_alu=3)).cycles == slow.cycles
 
 
+def _entries(cache_dir):
+    return sorted(cache_dir.rglob("*.json"))
+
+
 class TestCacheHygiene:
     def test_corrupt_cache_file_deleted_and_recomputed(self, runner):
         cfg = _cfg()
         rec = runner.run("cmp", cfg)
-        key = runner.cache_key("cmp", cfg)
-        path = runner._cache_path(key)
-        assert path.exists()
-        path.write_bytes(b"not a pickle")
+        [path] = _entries(runner.cache_dir)
+        path.write_text("{not json")
         fresh = ExperimentRunner(scale=1, cache_dir=runner.cache_dir)
-        assert fresh._load(key) is None
+        assert fresh.cached("cmp", cfg) is None
         assert not path.exists()  # bad file evicted, not re-parsed forever
         assert fresh.run("cmp", cfg) == rec
         assert fresh.cache_misses == 1
 
-    def test_old_schema_pickle_rejected(self, runner, tmp_path):
+    def test_old_schema_record_rejected(self, runner):
         cfg = _cfg()
         runner.run("cmp", cfg)
-        key = runner.cache_key("cmp", cfg)
-        path = runner._cache_path(key)
-        # Simulate an old-schema record: unpickles fine but lacks fields.
-        state = dict(runner._memory[key].__dict__)
-        del state["mispredicts"]
-        stale = object.__new__(RunRecord)
-        stale.__dict__.update(state)
-        path.write_bytes(pickle.dumps(stale))
-        fresh = ExperimentRunner(scale=1, cache_dir=runner.cache_dir)
-        assert fresh._load(key) is None
-        assert not path.exists()
+        [path] = _entries(runner.cache_dir)
+        good = json.loads(path.read_text())
+        missing = {k: v for k, v in good.items() if k != "mispredicts"}
+        for stale in (missing, {**good, "retired_field": 0}):
+            path.write_text(json.dumps(stale))
+            fresh = ExperimentRunner(scale=1, cache_dir=runner.cache_dir)
+            assert fresh.cached("cmp", cfg) is None
+            assert not path.exists()
 
     def test_atomic_store_leaves_no_tmp_files(self, runner):
         runner.run("cmp", _cfg())
-        leftovers = list(runner.cache_dir.glob("*.tmp"))
+        leftovers = list(runner.cache_dir.rglob("*.tmp"))
         assert leftovers == []
+        assert len(_entries(runner.cache_dir)) == 1
 
     def test_hit_miss_counters(self, runner):
         cfg = _cfg()
@@ -180,15 +180,17 @@ class TestSweepExecutor:
         assert all(r.from_cache for r in again)
 
     def test_parallel_and_serial_caches_byte_identical(self, tmp_path):
-        """Acceptance: cold parallel run produces byte-identical RunRecords
-        (pickles) to the serial path."""
+        """Acceptance: cold parallel run produces byte-identical RunRecord
+        documents to the serial path."""
         serial = ExperimentRunner(scale=1, cache_dir=tmp_path / "serial")
         SweepExecutor(runner=serial, jobs=1).run(self._jobs())
         par = ExperimentRunner(scale=1, cache_dir=tmp_path / "par")
         SweepExecutor(runner=par, jobs=2).run(self._jobs())
-        serial_files = sorted(p.name for p in (tmp_path / "serial").iterdir())
-        par_files = sorted(p.name for p in (tmp_path / "par").iterdir())
-        assert serial_files == par_files
+        serial_files = [p.relative_to(tmp_path / "serial")
+                        for p in _entries(tmp_path / "serial")]
+        par_files = [p.relative_to(tmp_path / "par")
+                     for p in _entries(tmp_path / "par")]
+        assert len(serial_files) == 4 and serial_files == par_files
         for name in serial_files:
             assert ((tmp_path / "serial" / name).read_bytes()
                     == (tmp_path / "par" / name).read_bytes())
@@ -311,6 +313,9 @@ class TestCpiCollection:
         assert runner.run("cmp", _cfg()).cpi is not None
         assert runner.run("cmp", _cfg(), collect_cpi=True) is upgraded
         assert runner.cache_misses == 2
+        # A fresh runner reads the CPI-carrying record back from disk equal.
+        fresh = ExperimentRunner(scale=1, cache_dir=runner.cache_dir)
+        assert fresh.cached("cmp", _cfg(), collect_cpi=True) == upgraded
 
     def test_collect_jobs_upgrades_deduped_job(self, runner):
         ex = SweepExecutor(runner=runner, jobs=1, collect_cpi=True)

@@ -1,4 +1,4 @@
-"""Tests for the serve subsystem: wire format, artifact store, rate
+"""Tests for the serve subsystem: wire format, the on-disk store, rate
 limiter, scheduler behaviour over real HTTP, the 64-client load shape
 from the acceptance criteria, and the concurrent cache-write stress."""
 
@@ -10,12 +10,12 @@ import signal
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from urllib.parse import quote
 
 import pytest
 
 from repro.fuzz.oracles import fuzz_configs
 from repro.serve import (
-    ArtifactStore,
     BadRequest,
     JobFailed,
     RateLimiter,
@@ -29,6 +29,7 @@ from repro.serve import (
     validate_payload,
 )
 from repro.sim import paper_machine, unlimited_machine
+from repro.store import Store
 
 SUM_LOOP = """
     li r1, 0
@@ -103,15 +104,18 @@ class TestWire:
 # -- artifact store ------------------------------------------------------------
 
 class TestArtifactStore:
+    """The :class:`repro.store.Store` serve keeps artifacts in (and the
+    experiment runner keeps run records in)."""
+
     def test_round_trip_and_counters(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = Store(tmp_path)
         assert store.get("ab" * 16) is None
         store.put("ab" * 16, {"cycles": 1})
         assert store.get("ab" * 16) == {"cycles": 1}
         assert store.counters() == {"hits": 1, "misses": 1, "puts": 1}
 
     def test_corrupt_artifact_evicted(self, tmp_path):
-        store = ArtifactStore(tmp_path)
+        store = Store(tmp_path)
         store.put("cd" * 16, {"ok": True})
         path = store._path("cd" * 16)
         path.write_text("{truncated")
@@ -127,7 +131,7 @@ class TestArtifactStore:
                  for pid in range(2)]
         for p in procs:
             p.start()
-        store = ArtifactStore(tmp_path)
+        store = Store(tmp_path)
         deadline = time.monotonic() + 30
         reads = 0
         while any(p.is_alive() for p in procs):
@@ -147,8 +151,8 @@ class TestArtifactStore:
 
     def test_concurrent_runner_caches_share_one_dir(self, tmp_path):
         """Two processes compiling the same fingerprint into one record
-        cache (the same tmp+rename discipline the artifact store reuses)
-        both succeed and agree."""
+        cache (one :class:`Store` under the runner) both succeed and
+        agree."""
         queue = multiprocessing.Queue()
         procs = [multiprocessing.Process(target=_runner_job,
                                          args=(str(tmp_path), queue))
@@ -169,7 +173,7 @@ class TestArtifactStore:
 
 
 def _hammer_store(root: str, key: str, writer: int) -> None:
-    store = ArtifactStore(root)
+    store = Store(root)
     for _ in range(200):
         store.put(key, {"writer": writer, "payload": "x" * 4096})
 
@@ -396,6 +400,25 @@ class TestServiceLifecycle:
             other.submit("check", {"asm": SUM_LOOP})
         finally:
             handle.stop()
+
+    def test_artifact_keys_cannot_leave_the_store(self, tmp_path):
+        """A percent-encoded absolute path is not a key: the artifact
+        endpoint neither serves a JSON file outside the store nor evicts
+        an unreadable one."""
+        secret = tmp_path / "secret.json"
+        secret.write_text('{"secret": true}')
+        victim = tmp_path / "victim.json"
+        victim.write_text("not json")
+        handle = start_in_thread(jobs=1, artifact_dir=str(tmp_path / "art"))
+        try:
+            c = ServeClient(handle.url)
+            for path in (secret, victim):
+                with pytest.raises(ServeError) as err:
+                    c.artifact(quote(str(path.with_suffix("")), safe=""))
+                assert err.value.status == 404
+        finally:
+            handle.stop()
+        assert secret.exists() and victim.exists()
 
     def test_graceful_stop_finishes_inflight(self, tmp_path):
         handle = start_in_thread(jobs=1, artifact_dir=str(tmp_path))
