@@ -20,12 +20,15 @@ connect-optimizer benchmark's machine (16 integer / 16 FP core registers,
 RC on the benchmark's hot class, model 3) and records the per-pass table
 with the ``connect-opt`` stage.
 
-Two hard parity gates, checked on every benchmark on both machines:
+Three hard parity gates, checked on every benchmark on both machines:
 
 * the fast engine's :class:`~repro.ir.interp.Profile` equals the
   reference engine's (block, branch, and call counts);
 * the emitted assembly (``format_listing``) is byte-identical between the
-  two engines.
+  two engines;
+* the assembly :func:`~repro.compiler.compile_back` builds from one
+  :class:`~repro.compiler.FrontEnd` shared by both machines is
+  byte-identical to :func:`~repro.compiler.compile_module`'s.
 
 Usage::
 
@@ -48,7 +51,8 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from bench_connectopt import _config as _connectopt_config  # noqa: E402
-from repro.compiler import CompileOptions, compile_module  # noqa: E402
+from repro.compiler import (CompileOptions, compile_back,  # noqa: E402
+                            compile_front, compile_module)
 from repro.isa.asmfmt import format_listing  # noqa: E402
 from repro.observe import PassMetrics  # noqa: E402
 from repro.sim import MachineConfig  # noqa: E402
@@ -85,8 +89,9 @@ def _pass_rows(module, config, engine: str) -> list[dict]:
     return metrics.to_rows()
 
 
-def _parity(where: str, module, config) -> tuple[list[str], int]:
-    """Engine invariance of the program emitted for *config*:
+def _parity(where: str, module, config, front) -> tuple[list[str], int]:
+    """Engine invariance of the program emitted for *config*, and its
+    invariance under compiling from the shared fast-engine *front* end:
     (problems, emitted instruction count)."""
     ref_out = compile_module(module, config, _options("reference"))
     fast_out = compile_module(module, config, _options("fast"))
@@ -98,6 +103,10 @@ def _parity(where: str, module, config) -> tuple[list[str], int]:
                         f"reference")
     if ref_asm != fast_asm:
         problems.append(f"{where}: assembly differs between IR engines")
+    shared = compile_back(front, config, _options("fast"))
+    if format_listing(shared.program.instrs) != fast_asm:
+        problems.append(f"{where}: assembly from a shared front end "
+                        f"differs from compile_module's")
     return problems, len(ref_out.program)
 
 
@@ -105,8 +114,9 @@ def bench_benchmark(name: str, scale: int, repeat: int) -> tuple[dict, list]:
     module = build_workload(name, scale=scale)
     config = MachineConfig()
     rc_config = _rc_config(name)
-    problems, instructions = _parity(name, module, config)
-    problems += _parity(f"{name} (RC machine)", module, rc_config)[0]
+    front = compile_front(module, _options("fast"))
+    problems, instructions = _parity(name, module, config, front)
+    problems += _parity(f"{name} (RC machine)", module, rc_config, front)[0]
 
     ref_cold, ref_warm = _time_compile(module, config, "reference", repeat)
     fast_cold, fast_warm = _time_compile(module, config, "fast", repeat)
@@ -202,7 +212,7 @@ def main(argv=None) -> int:
             print(f"  {p}", file=sys.stderr)
         return 1
     print("parity: OK (profiles equal, assembly byte-identical across "
-          "engines, default and RC machines)")
+          "engines and from a shared front end, default and RC machines)")
     return 0
 
 

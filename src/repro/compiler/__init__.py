@@ -8,6 +8,9 @@ from repro.compiler.pipeline import (
     CompileOptions,
     CompileOutput,
     CompileStats,
+    FrontEnd,
+    compile_back,
+    compile_front,
     compile_module,
 )
 from repro.compiler.regalloc.allocator import (
@@ -37,6 +40,7 @@ __all__ = [
     "CompileStats",
     "DepGraph",
     "FrameLayout",
+    "FrontEnd",
     "InArg",
     "InterferenceGraph",
     "LocalSlot",
@@ -47,6 +51,8 @@ __all__ = [
     "apply_allocation",
     "build_interference",
     "check_encodable",
+    "compile_back",
+    "compile_front",
     "compile_module",
     "insert_connects",
     "insert_prologue_epilogue",

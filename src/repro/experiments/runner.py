@@ -18,9 +18,16 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.compiler import CompileOptions, OptOptions, compile_module
+from repro.compiler import (
+    AllocationOptions,
+    CompileOptions,
+    CompileOutput,
+    OptOptions,
+    compile_back,
+    compile_front,
+)
 from repro.errors import SimulationError
-from repro.ir import run_module
+from repro.ir import Module, run_module
 from repro.isa import RClass
 from repro.observe import CPIStack, Observer
 from repro.sim import (
@@ -149,8 +156,8 @@ def _config_key(config: MachineConfig) -> str:
 class ExperimentRunner:
     """Runs and caches benchmark experiments at a fixed input scale."""
 
-    #: In-memory compiled-program cache size (FIFO eviction); sweep points
-    #: differing only in simulate-affecting fields share one compilation.
+    #: Size of each in-memory compile memo (FIFO eviction): front ends per
+    #: (benchmark, opt options), and compiled programs per compile key.
     COMPILE_CACHE_CAP = 64
 
     def __init__(self, scale: int | None = None,
@@ -168,6 +175,7 @@ class ExperimentRunner:
         self._disk = Store(self.cache_dir)
         self._memory: dict[str, RunRecord] = {}
         self._golden: dict[str, int | float] = {}
+        self._fronts: dict[tuple, tuple] = {}
         self._compiled: dict[tuple, tuple] = {}
         self._fingerprint = code_fingerprint()
         #: cache traffic counters, surfaced by the sweep executor.
@@ -249,17 +257,20 @@ class ExperimentRunner:
                 f".o{opt_level}.u{unroll_factor}.w{num_windows}"
                 f".f{self._fingerprint}")
 
-    def _compiled_program(self, benchmark: str, config: MachineConfig,
-                          opt_level: str, unroll_factor: int,
-                          num_windows: int) -> tuple:
-        """Compile *benchmark* for *config*, memoized on the
-        compile-affecting key.
+    def compile(self, benchmark: str, config: MachineConfig,
+                opt_level: str = "ilp", unroll_factor: int = 4,
+                num_windows: int = 4) -> tuple[Module, CompileOutput]:
+        """Compile *benchmark* for *config*: ``(source module, output)``.
 
-        Sweep points that differ only in simulate-affecting fields
-        (``extra_decode_stage``, ``max_cycles``) hit this cache and reuse
-        one compilation — and, because the same ``MachineProgram`` object is
-        returned, the fast engine's per-program code cache amortizes its
-        specialization cost across those points too.
+        Memoized at two levels.  The machine-independent front end
+        (:func:`~repro.compiler.compile_front`) is computed once per
+        ``(benchmark, opt_level, unroll_factor)``, so every config of a
+        sweep shares it.  The finished compile is memoized on the
+        compile-affecting key: sweep points that differ only in
+        simulate-affecting fields (``extra_decode_stage``, ``max_cycles``)
+        reuse one compilation — and, because the same ``MachineProgram``
+        object is returned, the fast engine's per-program code cache
+        amortizes its specialization cost across those points too.
         """
         ckey = (benchmark, _compile_key(config), opt_level, unroll_factor,
                 num_windows)
@@ -268,18 +279,25 @@ class ExperimentRunner:
             self.compile_hits += 1
             return hit
         self.compile_misses += 1
-        module = workload(benchmark).module(self.scale)
-        from repro.compiler.regalloc.allocator import AllocationOptions
-
         options = CompileOptions(
             opt=OptOptions(level=opt_level, unroll_factor=unroll_factor),
             alloc=AllocationOptions(num_windows=num_windows),
         )
-        out = compile_module(module, config, options)
-        if len(self._compiled) >= self.COMPILE_CACHE_CAP:
-            self._compiled.pop(next(iter(self._compiled)))
-        self._compiled[ckey] = (module, out)
-        return module, out
+        fkey = (benchmark, opt_level, unroll_factor)
+        front = self._fronts.get(fkey)
+        if front is None:
+            module = workload(benchmark).module(self.scale)
+            front = self._remember(self._fronts, fkey,
+                                   (module, compile_front(module, options)))
+        module, front_end = front
+        out = compile_back(front_end, config, options)
+        return self._remember(self._compiled, ckey, (module, out))
+
+    def _remember(self, memo: dict, key: tuple, value: tuple) -> tuple:
+        if len(memo) >= self.COMPILE_CACHE_CAP:
+            memo.pop(next(iter(memo)))
+        memo[key] = value
+        return value
 
     def cached(self, benchmark: str, config: MachineConfig,
                collect_cpi: bool = False, **kwargs) -> RunRecord | None:
@@ -309,7 +327,7 @@ class ExperimentRunner:
             return record
         self.cache_misses += 1
 
-        module, out = self._compiled_program(
+        module, out = self.compile(
             benchmark, config, opt_level, unroll_factor, num_windows)
         observer = None
         if collect_cpi:
@@ -401,7 +419,7 @@ class ExperimentRunner:
             raise ValueError(f"gang configs span {len(keys)} compile keys")
         outcomes: list[tuple[RunRecord | None, str | None]] = []
         try:
-            module, out = self._compiled_program(
+            module, out = self.compile(
                 benchmark, configs[0], opt_level, unroll_factor, num_windows)
             gang = simulate_gang(out.program, configs)
         except Exception as exc:  # noqa: BLE001 - surfaced per slot

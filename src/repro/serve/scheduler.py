@@ -137,6 +137,8 @@ class Scheduler:
         self._manager = None
         self._queue = None
         self._drain_thread: threading.Thread | None = None
+        #: Waiters of :meth:`_relayed`, by marker token.
+        self._syncs: dict[str, asyncio.Future] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -196,6 +198,11 @@ class Scheduler:
                 return  # loop shut down between the check and the call
 
     def _record_event(self, event: dict) -> None:
+        if event.get("stream") == "sync":
+            waiter = self._syncs.get(event["token"])
+            if waiter is not None and not waiter.done():
+                waiter.set_result(None)
+            return
         job = self.jobs.get(event.get("job", ""))
         if job is None:
             return
@@ -254,15 +261,7 @@ class Scheduler:
             return job
 
         self._inflight[key] = job
-        try:
-            future = self._pool.submit(execute_job, job.id, kind, payload)
-        except BrokenProcessPool:
-            # A worker died (its job ended ``worker-lost``) and took the
-            # pool with it: replace the pool so later jobs still run.
-            self._pool.shutdown(wait=False)
-            self._pool = self._new_pool()
-            future = self._pool.submit(execute_job, job.id, kind, payload)
-        task = asyncio.ensure_future(self._await_job(job, future))
+        task = asyncio.ensure_future(self._await_job(job, self._dispatch(job)))
         self._tasks.add(task)
         task.add_done_callback(self._tasks.discard)
         return job
@@ -277,19 +276,65 @@ class Scheduler:
             else:
                 break  # everything in flight; let the registry grow
 
-    async def _await_job(self, job: Job, future) -> None:
+    def _dispatch(self, job: Job):
+        """Hand *job* to the pool and return its future.  A pool found
+        broken at submit time (a worker died and took it with it) is
+        replaced first."""
         try:
-            status, body, meta = await asyncio.wrap_future(future)
-            # The pool future can complete before the worker's queued
-            # events have drained; wait for the terminal lifecycle
-            # marker so the event log is complete at finalization.
+            return self._pool.submit(execute_job, job.id, job.kind,
+                                     job.payload)
+        except BrokenProcessPool:
+            self._pool.shutdown(wait=False)
+            self._pool = self._new_pool()
+            return self._pool.submit(execute_job, job.id, job.kind,
+                                     job.payload)
+
+    async def _relayed(self) -> bool:
+        """Wait until every event already on the progress queue has been
+        recorded; False if the queue is gone or stalls.
+
+        A marker put now drains after them: the queue is FIFO and the loop
+        runs the drain thread's callbacks in order.
+        """
+        token = uuid.uuid4().hex
+        self._syncs[token] = self._loop.create_future()
+        try:
+            self._queue.put({"stream": "sync", "token": token})
+            await asyncio.wait_for(self._syncs[token], timeout=5)
+            return True
+        except Exception:  # noqa: BLE001 - manager gone or drain stalled
+            return False
+        finally:
+            self._syncs.pop(token, None)
+
+    async def _await_job(self, job: Job, future) -> None:
+        retried = False
+        while True:
             try:
-                await asyncio.wait_for(job.worker_done.wait(), timeout=5)
-            except asyncio.TimeoutError:
-                pass  # queue lost during shutdown; finalize anyway
-        except Exception as exc:  # noqa: BLE001 - pool broke underneath us
-            status, body, meta = "error", {"type": "worker-lost",
-                                           "message": str(exc)}, {}
+                status, body, meta = await asyncio.wrap_future(future)
+                # The pool future can complete before the worker's queued
+                # events have drained; wait for the terminal lifecycle
+                # marker so the event log is complete at finalization.
+                try:
+                    await asyncio.wait_for(job.worker_done.wait(), timeout=5)
+                except asyncio.TimeoutError:
+                    pass  # queue lost during shutdown; finalize anyway
+            except Exception as exc:  # noqa: BLE001 - pool broke underneath
+                # A worker puts ``started`` before it runs the job, and the
+                # pool breaks only after that put returned; so once the
+                # queue has been relayed, ``queued`` means no worker ever
+                # ran this job (it was handed to a dying pool): run it once
+                # more.  A job that started, even one that killed its own
+                # worker, ends ``worker-lost``.
+                if (isinstance(exc, BrokenProcessPool) and not retried
+                        and await self._relayed()
+                        and job.status == "queued"):
+                    retried = True
+                    future = self._dispatch(job)
+                    continue
+                status, body, meta = "error", {"type": "worker-lost",
+                                               "message": str(exc)}, {}
+            break
         self._finalize(job, status, body, meta)
 
     def _finalize(self, job: Job, status: str, body: dict,

@@ -4,8 +4,8 @@ Each pool worker keeps module-level *warm state* that survives across
 jobs for the life of the process:
 
 * an :class:`~repro.experiments.runner.ExperimentRunner` per (scale,
-  engine) — which carries the in-memory compiled-program cache, the
-  record memo, and the on-disk record cache under
+  engine) — which carries the in-memory front-end and compiled-program
+  memos, the record memo, and the on-disk record cache under
   ``<artifact_dir>/records`` shared by all workers;
 * a small FIFO cache of parsed assembly programs, so repeated
   submissions of the same ``.s`` text (the fuzz replay path) skip the
@@ -92,7 +92,7 @@ def _config_for(payload: dict):
 
 def _compile_benchmark(runner, payload: dict, config):
     opts = options_from_payload(payload.get("options"))
-    return runner._compiled_program(
+    return runner.compile(
         payload["benchmark"], config, opts["opt_level"],
         opts["unroll_factor"], opts["num_windows"])
 

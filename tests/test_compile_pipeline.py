@@ -1,16 +1,22 @@
 """End-to-end compiler tests: golden equivalence across configurations,
-connect insertion invariants, scheduling, code-size accounting."""
+connect insertion invariants, scheduling, code-size accounting, and the
+front/back split."""
+
+import pickle
 
 import pytest
 
 from repro.compiler import (
     CompileOptions,
     OptOptions,
+    compile_back,
+    compile_front,
     compile_module,
 )
 from repro.compiler.regalloc.allocator import AllocationOptions
 from repro.ir import FnBuilder, Module, run_module
 from repro.isa import Opcode, RClass
+from repro.isa.asmfmt import format_listing
 from repro.rc import RCModel
 from repro.sim import paper_machine, simulate, unlimited_machine
 
@@ -277,3 +283,46 @@ def test_ir_engine_option_is_output_invariant():
     assert ([repr(i) for i in fast.program.instrs]
             == [repr(i) for i in ref.program.instrs])
     assert fast.profile == ref.profile
+
+
+class TestFrontBackSplit:
+    @pytest.mark.parametrize("maker", [high_pressure_module, call_chain_module,
+                                       fp_module])
+    def test_shared_front_end_matches_compile_module(self, maker):
+        m = maker()
+        front = compile_front(m)
+        snapshot = pickle.dumps(front.module)
+        for cfg_name, cfg in CONFIGS:
+            want = compile_module(m, cfg)
+            got = compile_back(front, cfg)
+            assert (format_listing(got.program.instrs)
+                    == format_listing(want.program.instrs)), cfg_name
+            assert got.program.targets == want.program.targets, cfg_name
+            assert got.stats == want.stats, cfg_name
+            assert got.interp == want.interp, cfg_name
+        # Every back end worked on its own copy of the front end's IR.
+        assert pickle.dumps(front.module) == snapshot
+
+    def test_runner_computes_one_front_end_per_opt_options(self, tmp_path,
+                                                           monkeypatch):
+        import repro.experiments.runner as runner_mod
+
+        fronts = []
+
+        def counting_front(module, options=None, *args, **kwargs):
+            fronts.append((options.opt.level, options.opt.unroll_factor))
+            return compile_front(module, options, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "compile_front", counting_front)
+        runner = runner_mod.ExperimentRunner(cache_dir=tmp_path)
+        narrow, wide = paper_machine(issue_width=1), paper_machine()
+        runner.compile("cmp", narrow)
+        runner.compile("cmp", wide)
+        assert runner.compile_misses == 2
+        assert fronts == [("ilp", 4)]
+        runner.compile("cmp", wide, num_windows=2)
+        assert fronts == [("ilp", 4)]
+        runner.compile("cmp", wide, opt_level="scalar")
+        runner.compile("cmp", wide, unroll_factor=2)
+        assert fronts == [("ilp", 4), ("scalar", 4), ("ilp", 2)]
+        assert runner.compile_misses == 5

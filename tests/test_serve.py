@@ -28,6 +28,7 @@ from repro.serve import (
     start_in_thread,
     validate_payload,
 )
+from repro.serve import workers as serve_workers
 from repro.sim import paper_machine, unlimited_machine
 from repro.store import Store
 
@@ -463,6 +464,65 @@ class TestWorkerLoss:
         job = c.wait(c.submit("simulate", {"benchmark": "cmp",
                                            "machine": {"issue": 2}}))
         assert job["status"] == "done", job.get("error")
+
+    def test_job_handed_to_a_dying_pool_still_runs(self, own_server):
+        c = ServeClient(own_server.url)
+        job = c.wait(c.submit("simulate", {"benchmark": "cmp"}))
+        assert job["status"] == "done"
+        # Kill every worker, so that none is left to start the job in the
+        # dying pool, and submit at once, before the executor marks the
+        # pool broken: the pool takes the job and fails it unstarted.
+        for pid in list(own_server.app.scheduler._pool._processes):
+            os.kill(pid, signal.SIGKILL)
+        job = c.wait(c.submit("simulate", {"benchmark": "cmp",
+                                           "machine": {"issue": 2}}))
+        assert job["status"] == "done", job.get("error")
+
+    def test_job_that_kills_its_worker_is_not_rerun(self, own_server,
+                                                    monkeypatch):
+        # Pool workers fork from this process at the first submit, so
+        # they inherit the patched job table.
+        monkeypatch.setitem(serve_workers._KINDS, "simulate",
+                            _kill_own_worker)
+        scheduler = own_server.app.scheduler
+        # Relay worker events slowly, in order, so the pool breaks before
+        # the job's ``started`` event reaches the loop.
+        monkeypatch.setattr(scheduler, "_queue", _SlowRelay(scheduler._queue))
+        dispatched = []
+        dispatch = scheduler._dispatch
+
+        def counting_dispatch(job):
+            dispatched.append(job.id)
+            return dispatch(job)
+
+        monkeypatch.setattr(scheduler, "_dispatch", counting_dispatch)
+        c = ServeClient(own_server.url)
+        # A first job moves the drain thread onto the slow relay.
+        warm = c.wait(c.submit("compile", {"asm": "halt\n"}))
+        assert warm["status"] == "done"
+        job = c.wait(c.submit("simulate", {"benchmark": "cmp"}))
+        assert job["status"] == "error"
+        assert job["error"]["type"] == "worker-lost"
+        assert dispatched == [warm["id"], job["id"]]
+
+
+def _kill_own_worker(job_id: str, payload: dict) -> dict:
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+class _SlowRelay:
+    """A progress queue whose reader gets each event half a second late."""
+
+    def __init__(self, queue) -> None:
+        self._queue = queue
+
+    def get(self):
+        event = self._queue.get()
+        time.sleep(0.5)
+        return event
+
+    def put(self, event) -> None:
+        self._queue.put(event)
 
 
 class TestServeReplay:
