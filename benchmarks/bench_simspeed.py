@@ -58,12 +58,12 @@ from repro.isa import Imm, Instr, Opcode, PhysReg, RClass  # noqa: E402
 from repro.rc import RCModel  # noqa: E402
 from repro.fuzz import fuzz_configs, gen_machine_program  # noqa: E402
 from repro.sim import (  # noqa: E402
-    BatchedSimulator,
     FastSimulator,
     Simulator,
     assemble,
     paper_machine,
     simulate,
+    simulate_gang,
     unlimited_machine,
 )
 from repro.workloads import ALL_BENCHMARKS, build_workload, workload  # noqa: E402
@@ -241,7 +241,7 @@ def bench_sweep_batched(scale: int, repeat: int) -> tuple[dict, list]:
         # Warmup + parity gate: per-slot comparison of one gang against
         # single fast runs.
         singles = [FastSimulator(program, cfg).run() for cfg in configs]
-        gang = BatchedSimulator(program, configs).run()
+        gang = simulate_gang(program, configs)
         for cfg, single, slot in zip(configs, singles, gang):
             label = (f"{name} w{cfg.issue_width} m{cfg.rc_model.value}"
                      f" x{int(cfg.extra_decode_stage)}")
@@ -267,7 +267,7 @@ def bench_sweep_batched(scale: int, repeat: int) -> tuple[dict, list]:
         def gang_pass():
             prog = copy.deepcopy(program)
             t0 = time.perf_counter()
-            BatchedSimulator(prog, configs).run()
+            simulate_gang(prog, configs)
             return time.perf_counter() - t0
 
         gang_s = min(gang_pass() for _ in range(repeat))

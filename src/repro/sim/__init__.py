@@ -9,7 +9,7 @@ from repro.sim.config import (
     resolve_engine,
     unlimited_machine,
 )
-from repro.sim.batched import BatchedSimulator, GangOutcome, simulate_gang
+from repro.sim.batched import GangOutcome, simulate_gang
 from repro.sim.core import SimResult, Simulator, simulate
 from repro.sim.fastpath import FastSimulator
 from repro.sim.machine import MachineState
@@ -21,7 +21,6 @@ from repro.sim.tracing import PipelineTrace, capture_trace
 __all__ = [
     "ENGINE_ENV",
     "VALID_ENGINES",
-    "BatchedSimulator",
     "FastSimulator",
     "GangOutcome",
     "MachineConfig",

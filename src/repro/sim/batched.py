@@ -35,9 +35,9 @@ the pass's timing.  Once the signature stream becomes periodic the replay
 fast-forwards whole periods in O(1).  Slots that fault or exhaust their
 cycle budget retire from the gang without disturbing the others; shapes the
 replayer cannot prove (``mtpsw``, branch-to-fall-through, an unsupported
-codegen shape, a faulting leader, ``until_cycle`` segmenting) delegate to
-per-slot :class:`~repro.sim.fastpath.FastSimulator` runs so results are
-always bit-exact.
+codegen shape, a faulting leader) delegate to per-slot
+:class:`~repro.sim.fastpath.FastSimulator` runs so results are always
+bit-exact.  :func:`simulate_gang` is the entry point.
 """
 
 from __future__ import annotations
@@ -78,7 +78,6 @@ from repro.sim.machine import MachineState
 from repro.sim.stats import SimStats
 
 __all__ = [
-    "BatchedSimulator",
     "GangOutcome",
     "simulate_gang",
 ]
@@ -102,9 +101,6 @@ _GANG_MAX_BODY = 256
 #: stops recording once its memo holds this many, and steps from then on,
 #: so the memo cannot grow without bound.
 _GANG_MEMO_CAP = 512
-
-_POISON_MSG = ("cannot resume a simulator after a failed run: "
-               "architectural state is no longer consistent")
 
 #: The moves of every model: a gang's classes differ only by model and
 #: share the replay tables, so the static slot analysis covers them all.
@@ -136,26 +132,33 @@ class GangOutcome:
         return self.error is None
 
 
-# -- follower replay plan -------------------------------------------------------
+# -- follower replay footprints ------------------------------------------------
 
-class _Plan:
-    """Static memoization plan for one qualifying self-loop block."""
+class _Footprint:
+    """The static timing footprint one memo layer keys and restores.
 
-    __slots__ = ("idx", "lead", "body", "map_slots", "op_slots", "statics")
+    ``op_slots`` are the map entries ``(is_int, is_read, index)`` whose
+    contents, busy and ready times feed the signature; ``map_slots``
+    extends them with every other entry the region can rewrite, so an
+    effect snapshot restores the whole table; ``statics`` are the physical
+    registers ``(is_int, phys)`` reachable without a live map entry.
+    """
 
-    def __init__(self, idx, lead, body, map_slots, op_slots, statics):
+    __slots__ = ("idx", "op_slots", "map_slots", "statics")
+
+    def __init__(self, idx, slots):
         self.idx = idx
-        self.lead = lead
+        self.op_slots, self.map_slots, self.statics = slots
+
+
+class _Plan(_Footprint):
+    """Memoization plan for one qualifying self-loop block."""
+
+    __slots__ = ("body",)
+
+    def __init__(self, idx, slots, body):
+        super().__init__(idx, slots)
         self.body = body
-        #: every map entry the block touches: operand slots + connect targets
-        #: (is_int, is_read, index); snapshotted into memo effects.
-        self.map_slots = map_slots
-        #: operand subset whose contents/busy/ready feed the signature.
-        self.op_slots = op_slots
-        #: statically known physical registers reachable by the iteration:
-        #: unmapped operands, home locations of mapped operands (automatic
-        #: resets), and connect target registers.
-        self.statics = statics
 
 
 def _connect_targets(dec, ient, fent):
@@ -248,15 +251,13 @@ def _build_plans(dec, blocks, ient, fent, targ):
         slots = _block_slots(dec, body, ient, fent, targ)
         if slots is None:
             continue
-        op_slots, map_slots, statics = slots
-        plan = _Plan(len(plan_list), lead, tuple(body), map_slots, op_slots,
-                     statics)
+        plan = _Plan(len(plan_list), slots, tuple(body))
         plans[lead] = plan
         plan_list.append(plan)
     return plans, plan_list
 
 
-class _BInfo:
+class _BInfo(_Footprint):
     """Static dispatch-memo info for one non-self-loop block.
 
     One *dispatch* is a single pass over the block — entry fetch through the
@@ -268,19 +269,12 @@ class _BInfo:
     ``(group state, outcome, slot signature)``.
     """
 
-    __slots__ = ("idx", "lead", "map_slots", "op_slots", "statics",
-                 "term_kind", "term_target", "fall")
+    __slots__ = ("term_kind", "term_target")
 
-    def __init__(self, idx, lead, map_slots, op_slots, statics,
-                 term_kind, term_target, fall):
-        self.idx = idx
-        self.lead = lead
-        self.map_slots = map_slots
-        self.op_slots = op_slots
-        self.statics = statics
+    def __init__(self, idx, slots, term_kind, term_target):
+        super().__init__(idx, slots)
         self.term_kind = term_kind
         self.term_target = term_target
-        self.fall = fall
 
 
 def _build_binfo(dec, blocks, ient, fent, targ, plans):
@@ -302,16 +296,14 @@ def _build_binfo(dec, blocks, ient, fent, targ, plans):
         slots = _block_slots(dec, body, ient, fent, targ)
         if slots is None:
             continue
-        op_slots, map_slots, statics = slots
-        bi = _BInfo(len(binfo_list), lead, map_slots, op_slots, statics,
-                    tk, term.target if (tk == K_CBR or tk == K_JMP) else None,
-                    body[-1] + 1)
+        bi = _BInfo(len(binfo_list), slots, tk,
+                    term.target if (tk == K_CBR or tk == K_JMP) else None)
         binfo[lead] = bi
         binfo_list.append(bi)
     return binfo, binfo_list
 
 
-class _Seg:
+class _Seg(_Footprint):
     """A periodic trace segment: ``width`` consecutive trace entries exactly
     repeated ``reps`` times starting at a fixed trace position.
 
@@ -323,19 +315,14 @@ class _Seg:
     in O(slots).
     """
 
-    __slots__ = ("start", "width", "reps", "end", "map_slots", "op_slots",
-                 "statics", "idx")
+    __slots__ = ("start", "width", "reps", "end")
 
-    def __init__(self, idx, start, width, reps, map_slots, op_slots,
-                 statics):
-        self.idx = idx
+    def __init__(self, idx, slots, start, width, reps):
+        super().__init__(idx, slots)
         self.start = start
         self.width = width
         self.reps = reps
         self.end = start + width * reps
-        self.map_slots = map_slots
-        self.op_slots = op_slots
-        self.statics = statics
 
 
 _SEG_MAX_WIDTH = 12
@@ -387,9 +374,9 @@ def _find_segments(tp, tn, binfo, plans):
                     s for b in members for s in b.statics)
                 if len(opset) + len(cnset) + len(stat) <= _GANG_MAX_SLOTS:
                     op_slots = tuple(opset)
-                    seg = _Seg(len(seg_list), i, w, r,
-                               op_slots + tuple(cnset), op_slots,
-                               tuple(stat))
+                    seg = _Seg(len(seg_list),
+                               (op_slots, op_slots + tuple(cnset),
+                                tuple(stat)), i, w, r)
                     segs[i] = seg
                     seg_list.append(seg)
                     i += w * r
@@ -453,6 +440,63 @@ def _replay_supported(dec) -> bool:
     return True
 
 
+def _bind(fp, maps, readys):
+    """Footprint *fp* bound to one follower's arrays: ``(op_refs, map_refs,
+    stat_refs)``.  *maps* gives ``(contents, busy)`` per ``(is_int,
+    is_read)`` and *readys* the scoreboard per ``is_int``."""
+    return ([(*maps[i, r], readys[i], idx) for i, r, idx in fp.op_slots],
+            [(*maps[i, r], idx) for i, r, idx in fp.map_slots],
+            [(readys[i], ph) for i, ph in fp.statics])
+
+
+def _signature(parts, refs, cycle, map_en, sh):
+    """Memo key: *parts* (the caller's control state) extended by footprint
+    *refs*'s timing state at *cycle*.
+
+    Busy and ready times are clamped to offsets from *cycle*, which live in
+    ``[0, lmax]``; with ``sh = lmax.bit_length()`` an operand slot's
+    ``(content, busy, ready)`` packs injectively into one int, so each slot
+    costs one tuple element to build, hash and compare.
+    """
+    ap = parts.append
+    for content, busy, ready, idx in refs[0]:
+        c = content[idx]
+        v = busy[idx] - cycle
+        b = v if v > 0 else 0
+        v = ready[c if map_en else idx] - cycle
+        ap((c << sh | b) << sh | (v if v > 0 else 0))
+    for ready, ph in refs[2]:
+        v = ready[ph] - cycle
+        ap(v if v > 0 else 0)
+    return tuple(parts)
+
+
+def _shift(refs, cycle, to, map_en):
+    """Fast-forward footprint *refs* from *cycle* to *to*: every busy and
+    ready time keeps its clamped offset.  Periodic slots keep their offsets;
+    decayed (<= 0) slots stay behaviorally equivalent pinned at *to*."""
+    op_refs, map_refs, stat_refs = refs
+    moves = []
+    for _content, busy, idx in map_refs:
+        v = busy[idx] - cycle
+        moves.append((busy, idx, v if v > 0 else 0))
+    for content, _busy, ready, idx in op_refs:
+        j = content[idx] if map_en else idx
+        v = ready[j] - cycle
+        moves.append((ready, j, v if v > 0 else 0))
+    for ready, ph in stat_refs:
+        v = ready[ph] - cycle
+        moves.append((ready, ph, v if v > 0 else 0))
+    for arr, j, d in moves:
+        arr[j] = to + d
+
+
+def _snap(map_refs):
+    """The current contents of every map entry a memo effect can rewrite."""
+    return tuple((content, idx, content[idx])
+                 for content, _busy, idx in map_refs)
+
+
 def _replay(ctx: _ReplayContext, cfg):
     """Timing-only replay of the leader trace under follower config *cfg*.
 
@@ -469,6 +513,8 @@ def _replay(ctx: _ReplayContext, cfg):
     ntr = len(tp)
     lflags = ctx.lflags
     plans = ctx.plans
+    binfo = ctx.binfo
+    segs = ctx.segs
     trapdst = ctx.trapdst
     ient = ctx.ient
     fent = ctx.fent
@@ -480,11 +526,7 @@ def _replay(ctx: _ReplayContext, cfg):
     CL = cfg.latency.connect
     lat = [cfg.latency.of(d.op) for d in dec]
     lmax = max(max(lat, default=0), CL, 1)
-    # Signature packing: clamped deltas live in [0, lmax] and map contents
-    # are physical indices, so each operand slot packs injectively into a
-    # single int when lmax fits 6 bits — one tuple element per slot instead
-    # of three makes the memo keys much cheaper to build, hash and compare.
-    pk = lmax < 64
+    sh = lmax.bit_length()
 
     # -- per-slot state (struct-of-arrays across the gang) ---------------------
     iready = [0] * cfg.int_spec.total
@@ -510,77 +552,22 @@ def _replay(ctx: _ReplayContext, cfg):
     map_en = True
     rc_mode = cfg.has_rc
 
-    # -- per-plan / per-block, per-follower resolution --------------------------
-    def _resolve_refs(op_slots, extra_slots, statics):
-        op_refs = []
-        for is_int, is_read, idx in op_slots:
-            if is_int:
-                content = irm if is_read else iwm
-                busy = imr_r if is_read else imr_w
-                ready = iready
-            else:
-                content = frm if is_read else fwm
-                busy = fmr_r if is_read else fmr_w
-                ready = fready
-            op_refs.append((content, busy, ready, idx))
-        cn_refs = []
-        for is_int, is_read, idx in extra_slots:
-            if is_int:
-                content = irm if is_read else iwm
-                busy = imr_r if is_read else imr_w
-            else:
-                content = frm if is_read else fwm
-                busy = fmr_r if is_read else fmr_w
-            cn_refs.append((content, busy, idx))
-        stat_refs = [(iready if is_int else fready, ph)
-                     for is_int, ph in statics]
-        return op_refs, cn_refs, stat_refs
-
+    # -- footprints bound to this follower's arrays -----------------------------
+    maps = {(True, True): (irm, imr_r), (True, False): (iwm, imr_w),
+            (False, True): (frm, fmr_r), (False, False): (fwm, fmr_w)}
+    readys = {True: iready, False: fready}
+    prefs = []
     gates = []
     memos: list[dict] = []
-    prefs = []
     for p in ctx.plan_list:
+        prefs.append(_bind(p, maps, readys))
         gates.append(maxc - (len(p.body) * (lmax + 3) + RD + 4))
         memos.append({})
-        prefs.append(_resolve_refs(p.op_slots, p.map_slots[len(p.op_slots):],
-                                   p.statics))
-
-    binfo = ctx.binfo
-    bmemos: list[dict] = []
-    bprefs = []
-    for b in ctx.binfo_list:
-        bmemos.append({})
-        bprefs.append(_resolve_refs(b.op_slots, b.map_slots[len(b.op_slots):],
-                                    b.statics))
-
-    segs = ctx.segs
-    sprefs = []
-    for sg in ctx.seg_list:
-        sprefs.append(_resolve_refs(sg.op_slots,
-                                    sg.map_slots[len(sg.op_slots):],
-                                    sg.statics))
+    bprefs = [_bind(b, maps, readys) for b in ctx.binfo_list]
+    bmemos: list[dict] = [{} for _b in ctx.binfo_list]
+    sprefs = [_bind(sg, maps, readys) for sg in ctx.seg_list]
     sact = None
     sseen: dict = {}
-
-    def _pack_writes():
-        wr = tuple((iready if ii else fready, j, rel)
-                   for ii, j, rel in rec_w)
-        bw = []
-        for ii, ir, j, rel in rec_b:
-            if ii:
-                bw.append((imr_r if ir else imr_w, j, rel))
-            else:
-                bw.append((fmr_r if ir else fmr_w, j, rel))
-        return wr, tuple(bw)
-
-    def _snap(op_refs, cn_refs):
-        return tuple(
-            (content, idx, content[idx])
-            for content, _b, _r, idx in op_refs
-        ) + tuple(
-            (content, idx, content[idx])
-            for content, _b, idx in cn_refs
-        )
 
     # -- trace cursor -----------------------------------------------------------
     t = 0
@@ -595,14 +582,16 @@ def _replay(ctx: _ReplayContext, cfg):
     st3 = 0  # redirect cycles
     halted = False
 
-    # -- recording state (a plan-block iteration or a block dispatch) -----------
-    rec_plan = None
-    rec_bi = None
-    rec_on = False
+    # -- the recorder: one memo effect at a time ---------------------------------
+    # A self-loop iteration is stored at its taken back-edge, a block
+    # dispatch at the next block entry; the two never overlap (dispatch
+    # blocks exclude self-loops, and an iteration ends inside its block).
+    # ``rec_w`` lists every busy/ready write as (array, index, rel).
+    rec = None  # the memo being recorded into
     rec_key: tuple = ()
-    rec_c0 = rec_z0 = rec_m0 = rec_p0 = rec_r0 = 0
+    rec_maps: list = []
+    rec_c0 = rec_z0 = rec_p0 = rec_m0 = rec_r0 = 0
     rec_w: list = []
-    rec_b: list = []
 
     while not halted:
         if cycle > maxc:
@@ -610,46 +599,21 @@ def _replay(ctx: _ReplayContext, cfg):
 
         # -- memoized self-loop fast path -------------------------------------
         plan = plans[pc]
-        if (plan is not None and not rec_on and pc == cur_lead
+        if (plan is not None and rec is None and pc == cur_lead
                 and reps > 1):
             pi = plan.idx
             gate = gates[pi]
             memo = memos[pi]
-            op_refs, cn_refs, stat_refs = prefs[pi]
+            refs = prefs[pi]
             seen: dict | None = {}
             while reps > 1 and cycle < gate:
-                parts = [map_en]
-                ap = parts.append
-                if pk:
-                    for content, busy, ready, idx in op_refs:
-                        c = content[idx]
-                        v = busy[idx] - cycle
-                        b = v if v > 0 else 0
-                        v = ready[c if map_en else idx] - cycle
-                        ap(c << 12 | b << 6 | (v if v > 0 else 0))
-                else:
-                    for content, busy, ready, idx in op_refs:
-                        c = content[idx]
-                        ap(c)
-                        v = busy[idx] - cycle
-                        ap(v if v > 0 else 0)
-                        v = ready[c if map_en else idx] - cycle
-                        ap(v if v > 0 else 0)
-                for ready, ph in stat_refs:
-                    v = ready[ph] - cycle
-                    ap(v if v > 0 else 0)
-                sig = tuple(parts)
+                sig = _signature([map_en], refs, cycle, map_en, sh)
                 e = memo.get(sig)
                 if e is None:
                     if len(memo) < _GANG_MEMO_CAP:
-                        rec_plan = plan
-                        rec_on = True
-                        rec_key = sig
-                        rec_c0 = cycle
-                        rec_z0 = st0
-                        rec_m0 = st2
+                        rec, rec_key, rec_maps = memo, sig, refs[1]
+                        rec_c0, rec_z0, rec_m0 = cycle, st0, st2
                         rec_w = []
-                        rec_b = []
                     break
                 if seen is not None:
                     prev = seen.get(sig)
@@ -664,42 +628,17 @@ def _replay(ctx: _ReplayContext, cfg):
                             if cap < q:
                                 q = cap
                             if q > 0:
-                                p_dz = st0 - prev[2]
-                                p_dm = st2 - prev[3]
-                                # Periodic slots keep their clamped offsets;
-                                # decayed (<=0) slots stay behaviorally
-                                # equivalent pinned at the new cycle.
-                                resync = []
-                                for content, busy, ready, idx in op_refs:
-                                    v = busy[idx] - cycle
-                                    resync.append(
-                                        (busy, idx, v if v > 0 else 0))
-                                    j = content[idx] if map_en else idx
-                                    v = ready[j] - cycle
-                                    resync.append(
-                                        (ready, j, v if v > 0 else 0))
-                                for content, busy, idx in cn_refs:
-                                    v = busy[idx] - cycle
-                                    resync.append(
-                                        (busy, idx, v if v > 0 else 0))
-                                for ready, ph in stat_refs:
-                                    v = ready[ph] - cycle
-                                    resync.append(
-                                        (ready, ph, v if v > 0 else 0))
+                                _shift(refs, cycle, cycle + q * p_dc, map_en)
                                 cycle += q * p_dc
-                                st0 += q * p_dz
-                                st2 += q * p_dm
+                                st0 += q * (st0 - prev[2])
+                                st2 += q * (st2 - prev[3])
                                 reps -= q * p_reps
-                                for arr, j, d in resync:
-                                    arr[j] = cycle + d
                         seen = None
                         continue
                 # apply the recorded iteration effect
                 for arr, j, rel in e[3]:
                     arr[j] = cycle + rel
-                for arr, j, rel in e[4]:
-                    arr[j] = cycle + rel
-                for arr, j, ph in e[5]:
+                for arr, j, ph in e[4]:
                     arr[j] = ph
                 st0 += e[1]
                 st2 += e[2]
@@ -721,18 +660,14 @@ def _replay(ctx: _ReplayContext, cfg):
                         f"gang replay diverged from leader trace at pc={pc}")
                 cur_lead = pc
                 reps = tn[t]
-                if rec_bi is not None:
+                if rec is not None:
                     # Finalize the dispatch recorded since the previous block
                     # entry: the current fetch point is its exit state.
-                    wr, bw = _pack_writes()
-                    op_refs, cn_refs, _stat = bprefs[rec_bi.idx]
-                    bmemos[rec_bi.idx][rec_key] = (
+                    rec[rec_key] = (
                         cycle - rec_c0, st0 - rec_z0, st1 - rec_p0,
-                        st2 - rec_m0, st3 - rec_r0, wr, bw,
-                        _snap(op_refs, cn_refs),
-                        pc, issued, mem_used, store_seen)
-                    rec_bi = None
-                    rec_on = False
+                        st2 - rec_m0, st3 - rec_r0, tuple(rec_w),
+                        _snap(rec_maps), pc, issued, mem_used, store_seen)
+                    rec = None
                 # -- periodic trace-segment fast-forward ----------------------
                 if sact is not None and t >= sact.end:
                     sact = None
@@ -741,28 +676,9 @@ def _replay(ctx: _ReplayContext, cfg):
                     if sact is not None:
                         sseen = {}
                 if sact is not None and (t - sact.start) % sact.width == 0:
-                    op_refs, cn_refs, stat_refs = sprefs[sact.idx]
-                    parts = [issued, mem_used, store_seen, map_en]
-                    ap = parts.append
-                    if pk:
-                        for content, busy, ready, idx in op_refs:
-                            c = content[idx]
-                            v = busy[idx] - cycle
-                            b = v if v > 0 else 0
-                            v = ready[c if map_en else idx] - cycle
-                            ap(c << 12 | b << 6 | (v if v > 0 else 0))
-                    else:
-                        for content, busy, ready, idx in op_refs:
-                            c = content[idx]
-                            ap(c)
-                            v = busy[idx] - cycle
-                            ap(v if v > 0 else 0)
-                            v = ready[c if map_en else idx] - cycle
-                            ap(v if v > 0 else 0)
-                    for ready, ph in stat_refs:
-                        v = ready[ph] - cycle
-                        ap(v if v > 0 else 0)
-                    ssig = tuple(parts)
+                    refs = sprefs[sact.idx]
+                    ssig = _signature([issued, mem_used, store_seen, map_en],
+                                      refs, cycle, map_en, sh)
                     prev = sseen.get(ssig)
                     if prev is None:
                         sseen[ssig] = (t, cycle, st0, st1, st2, st3)
@@ -777,66 +693,26 @@ def _replay(ctx: _ReplayContext, cfg):
                             if cap < q:
                                 q = cap
                             if q > 0:
-                                p_d0 = st0 - prev[2]
-                                p_d1 = st1 - prev[3]
-                                p_d2 = st2 - prev[4]
-                                p_d3 = st3 - prev[5]
-                                resync = []
-                                for content, busy, ready, idx in op_refs:
-                                    v = busy[idx] - cycle
-                                    resync.append(
-                                        (busy, idx, v if v > 0 else 0))
-                                    j = content[idx] if map_en else idx
-                                    v = ready[j] - cycle
-                                    resync.append(
-                                        (ready, j, v if v > 0 else 0))
-                                for content, busy, idx in cn_refs:
-                                    v = busy[idx] - cycle
-                                    resync.append(
-                                        (busy, idx, v if v > 0 else 0))
-                                for ready, ph in stat_refs:
-                                    v = ready[ph] - cycle
-                                    resync.append(
-                                        (ready, ph, v if v > 0 else 0))
+                                _shift(refs, cycle, cycle + q * p_dc, map_en)
                                 t += q * p_t
                                 cycle += q * p_dc
-                                st0 += q * p_d0
-                                st1 += q * p_d1
-                                st2 += q * p_d2
-                                st3 += q * p_d3
+                                st0 += q * (st0 - prev[2])
+                                st1 += q * (st1 - prev[3])
+                                st2 += q * (st2 - prev[4])
+                                st3 += q * (st3 - prev[5])
                                 next_cycle = cycle + 1
-                                for arr, j, dlt in resync:
-                                    arr[j] = cycle + dlt
                 bi = binfo[pc]
-                if bi is not None and not rec_on:
+                if bi is not None and rec is None:
                     bmemo = bmemos[bi.idx]
-                    op_refs, cn_refs, stat_refs = bprefs[bi.idx]
+                    refs = bprefs[bi.idx]
                     if bi.term_kind == K_CBR:
                         tgt = bi.term_target
                         outcome = t + 1 < ntr and tp[t + 1] == tgt
                     else:
                         outcome = False
-                    parts = [issued, mem_used, store_seen, map_en, outcome]
-                    ap = parts.append
-                    if pk:
-                        for content, busy, ready, idx in op_refs:
-                            c = content[idx]
-                            v = busy[idx] - cycle
-                            b = v if v > 0 else 0
-                            v = ready[c if map_en else idx] - cycle
-                            ap(c << 12 | b << 6 | (v if v > 0 else 0))
-                    else:
-                        for content, busy, ready, idx in op_refs:
-                            c = content[idx]
-                            ap(c)
-                            v = busy[idx] - cycle
-                            ap(v if v > 0 else 0)
-                            v = ready[c if map_en else idx] - cycle
-                            ap(v if v > 0 else 0)
-                    for ready, ph in stat_refs:
-                        v = ready[ph] - cycle
-                        ap(v if v > 0 else 0)
-                    key = tuple(parts)
+                    key = _signature(
+                        [issued, mem_used, store_seen, map_en, outcome],
+                        refs, cycle, map_en, sh)
                     e = bmemo.get(key)
                     if e is not None:
                         # Exit cycle bounds every group-start cycle inside
@@ -844,9 +720,7 @@ def _replay(ctx: _ReplayContext, cfg):
                         if cycle + e[0] <= maxc:
                             for arr, j, rel in e[5]:
                                 arr[j] = cycle + rel
-                            for arr, j, rel in e[6]:
-                                arr[j] = cycle + rel
-                            for arr, j, ph in e[7]:
+                            for arr, j, ph in e[6]:
                                 arr[j] = ph
                             cycle += e[0]
                             st0 += e[1]
@@ -854,22 +728,16 @@ def _replay(ctx: _ReplayContext, cfg):
                             st2 += e[3]
                             st3 += e[4]
                             next_cycle = cycle + 1
-                            pc = e[8]
-                            issued = e[9]
-                            mem_used = e[10]
-                            store_seen = e[11]
+                            pc = e[7]
+                            issued = e[8]
+                            mem_used = e[9]
+                            store_seen = e[10]
                             continue
                     elif len(bmemo) < _GANG_MEMO_CAP:
-                        rec_bi = bi
-                        rec_on = True
-                        rec_key = key
-                        rec_c0 = cycle
-                        rec_z0 = st0
-                        rec_p0 = st1
-                        rec_m0 = st2
-                        rec_r0 = st3
+                        rec, rec_key, rec_maps = bmemo, key, refs[1]
+                        rec_c0, rec_z0, rec_p0, rec_m0, rec_r0 = (
+                            cycle, st0, st1, st2, st3)
                         rec_w = []
-                        rec_b = []
             d = dec[pc]
             kind = d.kind
 
@@ -958,17 +826,14 @@ def _replay(ctx: _ReplayContext, cfg):
                 tgt = d.target
                 if tgt == cur_lead:
                     taken = reps > 0
-                    if rec_plan is not None:
+                    if rec is not None:
+                        # The iteration recorded at the loop's entry ends
+                        # here; the taken branch closes its last group.
                         if taken:
-                            wr, bw = _pack_writes()
-                            pi = rec_plan.idx
-                            op_refs, cn_refs, _stat = prefs[pi]
-                            memos[pi][rec_key] = (
+                            rec[rec_key] = (
                                 cycle + 1 - rec_c0, st0 - rec_z0,
-                                st2 - rec_m0, wr, bw,
-                                _snap(op_refs, cn_refs))
-                        rec_plan = None
-                        rec_on = False
+                                st2 - rec_m0, tuple(rec_w), _snap(rec_maps))
+                        rec = None
                 else:
                     taken = t + 1 < ntr and tp[t + 1] == tgt
                 mispredict = taken != d.pred_taken
@@ -1016,19 +881,17 @@ def _replay(ctx: _ReplayContext, cfg):
                 break
             elif kind == K_CONNECT:
                 ready_at = cycle + CL
-                rel = ready_at - rec_c0 if rec_on else 0
                 for rclass, which, idx, phys in d.updates:
                     is_read = which == "read"
                     if rclass is RClass.INT:
                         (irm if is_read else iwm)[idx] = phys
-                        (imr_r if is_read else imr_w)[idx] = ready_at
-                        if rec_on:
-                            rec_b.append((True, is_read, idx, rel))
+                        busy = imr_r if is_read else imr_w
                     else:
                         (frm if is_read else fwm)[idx] = phys
-                        (fmr_r if is_read else fmr_w)[idx] = ready_at
-                        if rec_on:
-                            rec_b.append((False, is_read, idx, rel))
+                        busy = fmr_r if is_read else fmr_w
+                    busy[idx] = ready_at
+                    if rec is not None:
+                        rec_w.append((busy, idx, ready_at - rec_c0))
                 pc += 1
                 continue
             elif kind == K_TRAP:
@@ -1072,8 +935,9 @@ def _replay(ctx: _ReplayContext, cfg):
                     if map_en and num < fent:
                         for dst, src in fwrite:
                             dst[num] = num if src is None else src[num]
-                if rec_on:
-                    rec_w.append((dest_is_int, physd, wb - rec_c0))
+                if rec is not None:
+                    rec_w.append((iready if dest_is_int else fready, physd,
+                                  wb - rec_c0))
             if advance:
                 pc += 1
 
@@ -1123,173 +987,94 @@ def _follower_stats(leader_stats: SimStats, cycles, st0, st1, st2,
 
 # -- the gang ------------------------------------------------------------------
 
-class BatchedSimulator:
-    """Simulate one program under N machine configs in one pass.
-
-    ``run()`` returns a list of :class:`GangOutcome`, one per config slot in
-    input order.  Slots that fault or exhaust their budget carry the
-    exception in ``outcome.error``; the rest of the gang is undisturbed.
-    A repeated ``run()`` behaves like rerunning each engine: halted slots
-    return the same result, failed slots refuse with the engines' poisoned
-    diagnostic.  ``run(until_cycle=...)`` segments the whole gang through
-    per-slot fast simulators (the replay is whole-run by construction).
-    """
-
-    def __init__(self, program, configs) -> None:
-        if not configs:
-            raise ConfigError("batched gang needs at least one config")
-        self.program = program
-        self.configs = list(configs)
-        self._outcomes: list[GangOutcome] | None = None
-        self._delegates: list | None = None
-        self._poisoned: set[int] = set()
-        #: decode lists shared across class leaders, keyed on the config
-        #: axes decode actually reads: (latency, int_spec, fp_spec).
-        self._shared_dec: list = []
-        #: replay tables shared across classes, keyed (id(dec), ient, fent)
-        #: — the dec list is pinned by _shared_dec, so ids stay unique.
-        self._shared_tables: dict = {}
-
-    @property
-    def ran_batched(self) -> bool:
-        """Did every slot of the last run go through the lockstep replay?"""
-        return bool(self._outcomes) and all(
-            o.ran_batched for o in self._outcomes)
-
-    # -- public API -------------------------------------------------------------
-
-    def run(self, until_cycle: int | None = None) -> list[GangOutcome]:
-        if self._outcomes is not None and self._delegates is None:
-            # Rerun after a completed gang: like rerunning each engine,
-            # halted slots return the same result (even under until_cycle —
-            # they are already past it) and failed slots refuse.
-            return self._rerun()
-        if until_cycle is not None or self._delegates is not None:
-            return self._run_delegate(until_cycle)
-        outcomes: list[GangOutcome] = [None] * len(self.configs)  # type: ignore
-        by_class: dict = {}
-        for i, cfg in enumerate(self.configs):
-            key = (cfg.rc_model, cfg.int_spec, cfg.fp_spec)
-            by_class.setdefault(key, []).append(i)
-        for slots in by_class.values():
-            self._run_class(slots, outcomes)
-        self._outcomes = outcomes
-        return list(outcomes)
-
-    # -- gang execution ---------------------------------------------------------
-
-    def _run_class(self, slots, outcomes) -> None:
-        configs = self.configs
-        lead_slot = max(slots, key=lambda s: configs[s].max_cycles)
-        lcfg = configs[lead_slot]
-        dkey = (lcfg.latency, lcfg.int_spec, lcfg.fp_spec)
-        shared = next((d for k, d in self._shared_dec if k == dkey), None)
-        try:
-            leader = FastSimulator(self.program, lcfg, decoded=shared)
-        except Exception as exc:
-            # Decode/validation failure is a class property (it depends only
-            # on the program and the register specs): every slot raises it.
-            for s in slots:
-                outcomes[s] = GangOutcome(s, configs[s], None, exc, True)
-            return
-        if shared is None:
-            self._shared_dec.append((dkey, leader._ref._decoded))
-        if (leader._compiled_entry is None
-                or not _replay_supported(leader._ref._decoded)):
-            self._delegate_slots(slots, outcomes)
-            return
-        trace = (array("q"), array("q"))
-        try:
-            lres = leader._run_fast(trace=trace)
-            leader.ran_fastpath = True
-        except Exception as exc:
-            leader._ref._failed = True
-            outcomes[lead_slot] = GangOutcome(lead_slot, lcfg, None, exc,
-                                              True)
-            self._poisoned.add(lead_slot)
-            rest = [s for s in slots if s != lead_slot]
-            if rest:
-                self._delegate_slots(rest, outcomes)
-            return
-        outcomes[lead_slot] = GangOutcome(lead_slot, lcfg, lres, None, True)
-        followers = [s for s in slots if s != lead_slot]
-        if not followers:
-            return
-        dec = leader._ref._decoded
-        ient = lcfg.int_spec.core if lcfg.int_spec.has_rc else 0
-        fent = lcfg.fp_spec.core if lcfg.fp_spec.has_rc else 0
-        tkey = (id(dec), ient, fent)
-        ctx = _ReplayContext(self.program, dec, trace, ient, fent,
-                             tables=self._shared_tables.get(tkey))
-        self._shared_tables[tkey] = ctx.tables
-        for s in followers:
-            cfg = configs[s]
-            try:
-                cycles, st0, st1, st2, st3 = _replay(ctx, cfg)
-            except Exception as exc:
-                outcomes[s] = GangOutcome(s, cfg, None, exc, True)
-                self._poisoned.add(s)
-                continue
-            stats = _follower_stats(lres.stats, cycles, st0, st1, st2, st3)
-            state = _clone_state(lres.state, cfg)
-            outcomes[s] = GangOutcome(
-                s, cfg, SimResult(stats=stats, state=state, halted=True,
-                                  engine="batched"),
-                None, True)
-
-    # -- delegation -------------------------------------------------------------
-
-    def _delegate_slots(self, slots, outcomes) -> None:
-        for s in slots:
-            cfg = self.configs[s]
-            try:
-                sim = FastSimulator(self.program, cfg)
-            except Exception as exc:
-                # Decode error: reconstructing would raise it again, so a
-                # rerun repeats it rather than the poisoned diagnostic.
-                outcomes[s] = GangOutcome(s, cfg, None, exc, False)
-                continue
-            try:
-                res = sim.run()
-                outcomes[s] = GangOutcome(s, cfg, res, None, False)
-            except Exception as exc:
-                outcomes[s] = GangOutcome(s, cfg, None, exc, False)
-                self._poisoned.add(s)
-
-    def _run_delegate(self, until_cycle) -> list[GangOutcome]:
-        if self._delegates is None:
-            self._delegates = []
-            for cfg in self.configs:
-                try:
-                    self._delegates.append(FastSimulator(self.program, cfg))
-                except Exception as exc:
-                    self._delegates.append(exc)
-        outs = []
-        for i, sim in enumerate(self._delegates):
-            cfg = self.configs[i]
-            if isinstance(sim, Exception):
-                outs.append(GangOutcome(i, cfg, None, sim, False))
-                continue
-            try:
-                res = sim.run(until_cycle)
-                outs.append(GangOutcome(i, cfg, res, None, False))
-            except Exception as exc:
-                outs.append(GangOutcome(i, cfg, None, exc, False))
-        self._outcomes = outs
-        return list(outs)
-
-    def _rerun(self) -> list[GangOutcome]:
-        fresh = []
-        for o in self._outcomes:
-            if o.slot in self._poisoned:
-                err = SimulationError(_POISON_MSG)
-                fresh.append(GangOutcome(o.slot, o.config, None, err,
-                                         o.ran_batched))
-            else:
-                fresh.append(o)
-        return fresh
-
-
 def simulate_gang(program, configs) -> list[GangOutcome]:
-    """Convenience wrapper: one gang run over *configs*."""
-    return BatchedSimulator(program, configs).run()
+    """Simulate *program* under every config in *configs* in one pass.
+
+    Returns one :class:`GangOutcome` per config, in input order.  Slots that
+    fault or exhaust their budget carry the exception in ``outcome.error``;
+    the rest of the gang is undisturbed.
+    """
+    configs = list(configs)
+    if not configs:
+        raise ConfigError("batched gang needs at least one config")
+    outcomes: list[GangOutcome] = [None] * len(configs)  # type: ignore
+    by_class: dict = {}
+    for i, cfg in enumerate(configs):
+        key = (cfg.rc_model, cfg.int_spec, cfg.fp_spec)
+        by_class.setdefault(key, []).append(i)
+    # Decode lists shared across class leaders, keyed on the config axes
+    # decode actually reads: (latency, int_spec, fp_spec).
+    shared_dec: list = []
+    # Replay tables shared across classes, keyed (id(dec), ient, fent) —
+    # the dec list is pinned by shared_dec, so ids stay unique.
+    shared_tables: dict = {}
+    for slots in by_class.values():
+        _run_class(program, configs, slots, outcomes, shared_dec,
+                   shared_tables)
+    return outcomes
+
+
+def _run_class(program, configs, slots, outcomes, shared_dec,
+               shared_tables) -> None:
+    """One architectural class: the leader runs generated code recording
+    its trace, and every follower replays that trace timing-only."""
+    lead_slot = max(slots, key=lambda s: configs[s].max_cycles)
+    lcfg = configs[lead_slot]
+    dkey = (lcfg.latency, lcfg.int_spec, lcfg.fp_spec)
+    shared = next((d for k, d in shared_dec if k == dkey), None)
+    try:
+        leader = FastSimulator(program, lcfg, decoded=shared)
+    except Exception as exc:
+        # Decode/validation failure is a class property (it depends only
+        # on the program and the register specs): every slot raises it.
+        for s in slots:
+            outcomes[s] = GangOutcome(s, configs[s], None, exc, True)
+        return
+    dec = leader._ref._decoded
+    if shared is None:
+        shared_dec.append((dkey, dec))
+    if leader._compiled_entry is None or not _replay_supported(dec):
+        _delegate_slots(program, configs, slots, outcomes)
+        return
+    followers = [s for s in slots if s != lead_slot]
+    trace = (array("q"), array("q"))
+    try:
+        lres = leader._run_fast(trace=trace)
+    except Exception as exc:
+        outcomes[lead_slot] = GangOutcome(lead_slot, lcfg, None, exc, True)
+        _delegate_slots(program, configs, followers, outcomes)
+        return
+    outcomes[lead_slot] = GangOutcome(lead_slot, lcfg, lres, None, True)
+    if not followers:
+        return
+    ient = lcfg.int_spec.core if lcfg.int_spec.has_rc else 0
+    fent = lcfg.fp_spec.core if lcfg.fp_spec.has_rc else 0
+    tkey = (id(dec), ient, fent)
+    ctx = _ReplayContext(program, dec, trace, ient, fent,
+                         tables=shared_tables.get(tkey))
+    shared_tables[tkey] = ctx.tables
+    for s in followers:
+        cfg = configs[s]
+        try:
+            cycles, st0, st1, st2, st3 = _replay(ctx, cfg)
+        except Exception as exc:
+            outcomes[s] = GangOutcome(s, cfg, None, exc, True)
+            continue
+        stats = _follower_stats(lres.stats, cycles, st0, st1, st2, st3)
+        state = _clone_state(lres.state, cfg)
+        outcomes[s] = GangOutcome(
+            s, cfg, SimResult(stats=stats, state=state, halted=True,
+                              engine="batched"),
+            None, True)
+
+
+def _delegate_slots(program, configs, slots, outcomes) -> None:
+    """Run *slots* as single fast-engine runs (``ran_batched=False``)."""
+    for s in slots:
+        cfg = configs[s]
+        try:
+            res = FastSimulator(program, cfg).run()
+        except Exception as exc:
+            outcomes[s] = GangOutcome(s, cfg, None, exc, False)
+        else:
+            outcomes[s] = GangOutcome(s, cfg, res, None, False)

@@ -121,7 +121,7 @@ class Simulator:
     """Simulates one :class:`MachineProgram` on one machine configuration."""
 
     def __init__(self, program: MachineProgram, config: MachineConfig,
-                 trace_hook=None, observer=None, *, decoded=None) -> None:
+                 observer=None, *, decoded=None) -> None:
         self.program = program
         self.config = config
         self.state = MachineState(config, program.initial_memory)
@@ -137,9 +137,6 @@ class Simulator:
                              for i, instr in enumerate(program.instrs)]
         #: externally scheduled interrupts: sorted (cycle, vector) pairs.
         self._interrupts: list[tuple[int, int]] = []
-        #: optional per-issue callback ``hook(cycle, pc)`` for debugging and
-        #: pipeline visualization; adds overhead only when set.
-        self.trace_hook = trace_hook
         #: optional structured-event sink (:class:`repro.observe.Observer`);
         #: hooks are guarded by a single ``is not None`` test and only read
         #: simulation state, so observation never perturbs results.
@@ -481,8 +478,6 @@ class Simulator:
                 stats.instructions += 1
                 by_category[d.category] += 1
                 by_origin[d.origin] += 1
-                if self.trace_hook is not None:
-                    self.trace_hook(cycle, pc)
                 if obs is not None:
                     obs.on_issue(cycle, pc, issued - 1)
                 if read_reset and map_en:

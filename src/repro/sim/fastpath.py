@@ -53,7 +53,7 @@ reference to the next block leader, since generated code enters blocks only
 there; :func:`repro.sim.core.simulate` uses this to start every run on the
 reference engine and tier up after ``TIER_UP_CYCLES``.  ``run()`` stays on
 the reference whenever its per-event guarantees are needed: an attached
-observer or trace hook, a scheduled interrupt, a ``run(until_cycle=...)``
+observer, a scheduled interrupt, a ``run(until_cycle=...)``
 segment, or a program shape the code generator does not support.
 """
 
@@ -677,7 +677,7 @@ class FastSimulator:
 
     Construction decodes through an embedded reference simulator (sharing
     its validation and :class:`MachineState`), so architectural state,
-    ``schedule_interrupt``, observers and trace hooks behave identically.
+    ``schedule_interrupt`` and observers behave identically.
     ``reference=`` adopts an existing reference simulator instead, with its
     decode, state and any segments it has already run; ``run()`` then
     resumes from where that reference stopped.  ``run()`` executes the
@@ -686,13 +686,12 @@ class FastSimulator:
     which engine produced the last result.
     """
 
-    def __init__(self, program, config, trace_hook=None,
-                 observer=None, *, decoded=None,
+    def __init__(self, program, config, observer=None, *, decoded=None,
                  generic_maps=False, reference=None) -> None:
         """``generic_maps`` is ignored; ``benchmarks/e2e`` still passes it."""
         if reference is None:
-            reference = Simulator(program, config, trace_hook=trace_hook,
-                                  observer=observer, decoded=decoded)
+            reference = Simulator(program, config, observer=observer,
+                                  decoded=decoded)
         self._ref = reference
         self.program = program
         self.config = config
@@ -704,14 +703,6 @@ class FastSimulator:
     @property
     def state(self):
         return self._ref.state
-
-    @property
-    def trace_hook(self):
-        return self._ref.trace_hook
-
-    @trace_hook.setter
-    def trace_hook(self, hook) -> None:
-        self._ref.trace_hook = hook
 
     @property
     def observer(self):
@@ -731,7 +722,6 @@ class FastSimulator:
         self.ran_fastpath = False
         if (until_cycle is not None
                 or ref.observer is not None
-                or ref.trace_hook is not None
                 or ref._interrupts
                 or ref._failed
                 or ref._halted

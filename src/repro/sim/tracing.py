@@ -1,6 +1,6 @@
 """Pipeline tracing and text visualization.
 
-Uses the simulator's per-issue hook to record ``(cycle, pc)`` pairs and
+Records ``(cycle, pc)`` pairs through an :class:`Observer`'s issue hook and
 renders them as an annotated listing: a ``|`` marks the start of each issue
 group, so issue-width utilization and stalls are visible at a glance —
 exactly the view needed to see zero-cycle connects sharing a cycle with
@@ -13,6 +13,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from repro.isa.asmfmt import format_instr
+from repro.observe.events import Observer
 from repro.sim.config import MachineConfig
 from repro.sim.core import Simulator
 from repro.sim.program import MachineProgram
@@ -124,18 +125,28 @@ class PipelineTrace:
         return "\n".join(lines)
 
 
+class _IssueRecorder(Observer):
+    """Appends each issue's ``(cycle, pc)`` to a :class:`PipelineTrace`, up
+    to *limit* events; every other hook keeps only the base counters."""
+
+    __slots__ = ("trace",)
+
+    def __init__(self, trace: PipelineTrace, limit: int) -> None:
+        super().__init__(keep_events=False, limit=limit)
+        self.trace = trace
+
+    def on_issue(self, cycle: int, pc: int, slot: int) -> None:
+        events = self.trace.events
+        if len(events) < self.limit:
+            events.append((cycle, pc))
+        else:
+            self.trace.truncated = True
+
+
 def capture_trace(program: MachineProgram, config: MachineConfig,
                   limit: int = 200_000) -> PipelineTrace:
     """Run *program* recording up to *limit* issue events."""
     trace = PipelineTrace(program, config)
-    events = trace.events
-
-    def hook(cycle: int, pc: int) -> None:
-        if len(events) < limit:
-            events.append((cycle, pc))
-        else:
-            trace.truncated = True
-
-    result = Simulator(program, config, trace_hook=hook).run()
-    trace.stats = result.stats
+    recorder = _IssueRecorder(trace, limit)
+    trace.stats = Simulator(program, config, observer=recorder).run().stats
     return trace

@@ -16,10 +16,9 @@ import pytest
 
 from repro.compiler import compile_module
 from repro.errors import ConfigError, CycleBudgetError, SimulationError
-from repro.isa import Imm, Instr, Opcode, PhysReg, RClass
+from repro.isa import Imm, Instr, LatencyModel, Opcode, PhysReg, RClass
 from repro.rc import RCModel
 from repro.sim import (
-    BatchedSimulator,
     FastSimulator,
     Simulator,
     assemble,
@@ -72,7 +71,7 @@ def test_gang_parity_models_and_widths(name):
     """A gang over models × widths matches per-config fast runs bit-exactly."""
     program = _program(name)
     configs = _gang_configs(name)
-    outcomes = BatchedSimulator(program, configs).run()
+    outcomes = simulate_gang(program, configs)
     for cfg, outcome in zip(configs, outcomes):
         single = FastSimulator(program, cfg).run()
         label = f"{name} w{cfg.issue_width} {cfg.rc_model.name}"
@@ -87,11 +86,48 @@ def test_gang_of_one_equals_fast():
     name = ALL_BENCHMARKS[0]
     program = _program(name)
     cfg = paper_machine(issue_width=4, rc_class=_rc_class(name))
-    sim = BatchedSimulator(program, [cfg])
-    outcomes = sim.run()
-    assert len(outcomes) == 1 and sim.ran_batched
+    outcomes = simulate_gang(program, [cfg])
+    assert len(outcomes) == 1 and outcomes[0].ran_batched
     single = FastSimulator(program, cfg).run()
     _assert_slot_equals(outcomes[0], single, "gang-of-1")
+
+
+def _div_loop_program():
+    """A self-loop whose body carries a long-latency integer divide."""
+    r = lambda n: PhysReg(RClass.INT, n)  # noqa: E731
+    return assemble([
+        Instr(Opcode.LI, dest=r(5), imm=1 << 40),
+        Instr(Opcode.LI, dest=r(6), imm=0),
+        Instr(Opcode.LI, dest=r(8), imm=3),
+        Instr(Opcode.DIV, dest=r(7), srcs=(r(5), r(8))),
+        Instr(Opcode.ADD, dest=r(5), srcs=(r(7), r(6))),
+        Instr(Opcode.ADD, dest=r(6), srcs=(r(6), Imm(1))),
+        Instr(Opcode.BLT, srcs=(r(6), Imm(200)), label="loop"),
+        Instr(Opcode.STORE, srcs=(r(5), Imm(0)), imm=900),
+        Instr(Opcode.HALT),
+    ], labels={"loop": 3})
+
+
+@pytest.mark.parametrize("name", ["nasa7", "div-loop"])
+def test_long_latency_gang_parity(name):
+    """Latencies of 64 cycles and more widen every slot signature field;
+    a class mixing them with default latencies stays bit-exact, whichever
+    kind leads."""
+    if name == "div-loop":
+        program, rc_class = _div_loop_program(), RClass.INT
+    else:
+        program, rc_class = _program(name), _rc_class(name)
+    slow = LatencyModel(int_div=100, fp_div=70)
+    configs = [dataclasses.replace(
+                   paper_machine(issue_width=w, rc_class=rc_class),
+                   **({"latency": slow} if i % 2 else {}))
+               for i, w in enumerate((1, 1, 2, 2, 4))]
+    for gang in (configs, configs[::-1]):
+        outcomes = simulate_gang(program, gang)
+        assert all(o.ran_batched for o in outcomes)
+        for i, (cfg, outcome) in enumerate(zip(gang, outcomes)):
+            single = FastSimulator(program, cfg).run()
+            _assert_slot_equals(outcome, single, f"{name} slot{i}")
 
 
 def test_gang_against_reference_engine():
@@ -114,7 +150,7 @@ class TestRetirement:
         # slot completes untouched.
         tiny = dataclasses.replace(configs[4], max_cycles=50)
         configs = configs[:4] + [tiny] + configs[5:]
-        outcomes = BatchedSimulator(program, configs).run()
+        outcomes = simulate_gang(program, configs)
         assert isinstance(outcomes[4].error, CycleBudgetError)
         with pytest.raises(CycleBudgetError) as fast_exc:
             FastSimulator(program, tiny).run()
@@ -126,32 +162,26 @@ class TestRetirement:
             _assert_slot_equals(outcome, single, f"slot{i}")
 
     def test_budget_slot_rerun_refuses_like_both_engines(self):
+        """A slot out of budget fails with both engines' exact error (a
+        gang has no rerun: the slot is simply retired) and its neighbours
+        finish untouched."""
         name = ALL_BENCHMARKS[0]
         program = _program(name)
         cfgs = _gang_configs(name)[:3]
         cfgs[1] = dataclasses.replace(cfgs[1], max_cycles=50)
-        sim = BatchedSimulator(program, cfgs)
-        first = sim.run()
-        assert isinstance(first[1].error, CycleBudgetError)
-        again = sim.run()
-        # Healthy slots return their results; the failed slot refuses with
-        # the same poisoned-state diagnostic both engines use.
-        _assert_slot_equals(again[0], first[0].result, "rerun slot0")
-        _assert_slot_equals(again[2], first[2].result, "rerun slot2")
-        assert isinstance(again[1].error, SimulationError)
-
-        def rerun_message(cls):
-            single = cls(program, cfgs[1])
-            with pytest.raises(CycleBudgetError):
-                single.run()
-            with pytest.raises(SimulationError) as exc:
-                single.run()
-            return str(exc.value)
-
-        assert str(again[1].error) == rerun_message(FastSimulator)
-        assert str(again[1].error) == rerun_message(Simulator)
+        gang = simulate_gang(program, cfgs)
+        assert isinstance(gang[1].error, CycleBudgetError)
+        for cls in (FastSimulator, Simulator):
+            with pytest.raises(CycleBudgetError) as exc:
+                cls(program, cfgs[1]).run()
+            assert str(gang[1].error) == str(exc.value)
+        for i in (0, 2):
+            single = FastSimulator(program, cfgs[i]).run()
+            _assert_slot_equals(gang[i], single, f"slot{i}")
 
     def test_faulting_program_poisons_and_refuses_identically(self):
+        """A program that faults fails every slot with the reference
+        engine's exact error type and message."""
         prog = assemble([
             Instr(Opcode.LI, dest=PhysReg(RClass.INT, 5), imm=4),
             Instr(Opcode.LI, dest=PhysReg(RClass.INT, 6), imm=0),
@@ -161,22 +191,17 @@ class TestRetirement:
         ])
         cfgs = [paper_machine(issue_width=w, rc_class=RClass.INT)
                 for w in GANG_WIDTHS]
-        sim = BatchedSimulator(prog, cfgs)
-        outcomes = sim.run()
+        outcomes = simulate_gang(prog, cfgs)
         for cfg, outcome in zip(cfgs, outcomes):
             with pytest.raises(SimulationError) as ref_exc:
                 Simulator(prog, cfg).run()
             assert type(outcome.error) is type(ref_exc.value)
             assert str(outcome.error) == str(ref_exc.value)
-        again = sim.run()
-        for outcome in again:
-            assert isinstance(outcome.error, SimulationError)
-            assert "cannot resume" in str(outcome.error)
 
     @staticmethod
     def _assert_gang_matches_fast(program, configs):
         for i, (cfg, outcome) in enumerate(
-                zip(configs, BatchedSimulator(program, configs).run())):
+                zip(configs, simulate_gang(program, configs))):
             try:
                 single = FastSimulator(program, cfg).run()
             except Exception as exc:
@@ -219,39 +244,8 @@ class TestRetirement:
             for b in (budget, budget - 1):
                 gang = [dataclasses.replace(c, max_cycles=b) for c in cfgs]
                 self._assert_gang_matches_fast(program, gang)
-            lead = BatchedSimulator(program, gang).run()[0]
+            lead = simulate_gang(program, gang)[0]
             assert isinstance(lead.error, CycleBudgetError)
-
-
-def test_until_cycle_segmented_gang_parity():
-    """Segmenting a whole gang with until_cycle converges to the full run."""
-    name = ALL_BENCHMARKS[2]
-    program = _program(name)
-    configs = _gang_configs(name)[:4]
-    full = BatchedSimulator(program, configs).run()
-    seg_sim = BatchedSimulator(program, configs)
-    horizon = 500
-    outcomes = seg_sim.run(until_cycle=horizon)
-    guard = 10_000
-    while not all(o.result is not None and o.result.halted
-                  for o in outcomes):
-        horizon += 500
-        guard -= 1
-        assert guard > 0, "segmented gang failed to make progress"
-        outcomes = seg_sim.run(until_cycle=horizon)
-    for a, b in zip(outcomes, full):
-        _assert_slot_equals(a, b.result, f"segmented slot{a.slot}")
-
-
-def test_rerun_returns_same_results():
-    name = ALL_BENCHMARKS[0]
-    program = _program(name)
-    configs = _gang_configs(name)[:3]
-    sim = BatchedSimulator(program, configs)
-    first = sim.run()
-    second = sim.run()
-    for a, b in zip(first, second):
-        _assert_slot_equals(b, a.result, f"rerun slot{b.slot}")
 
 
 class TestDispatch:
@@ -287,7 +281,7 @@ class TestDispatch:
         modules = fastpath._code_cache[id(program)][1]
         assert set(modules) == {repr(cfg)}
         gang = [cfg, dataclasses.replace(cfg, issue_width=2)]
-        assert all(o.error is None for o in BatchedSimulator(program, gang).run())
+        assert all(o.error is None for o in simulate_gang(program, gang))
         assert set(modules) == {repr(cfg)}
         simulate(program, cfg, engine="batched")
         assert set(modules) == {repr(cfg)}
@@ -295,7 +289,7 @@ class TestDispatch:
     def test_empty_gang_rejected(self):
         name = ALL_BENCHMARKS[0]
         with pytest.raises(ConfigError, match="at least one config"):
-            BatchedSimulator(_program(name), [])
+            simulate_gang(_program(name), [])
 
 
 def test_run_gang_matches_run(tmp_path):
