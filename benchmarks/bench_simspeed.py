@@ -9,6 +9,12 @@ Measures instructions/second for both engines over
 * a **microbenchmark**: a tight straight-line arithmetic loop, one
   self-loop block with unmapped operands that iterates inside its
   generated function for 50,000 passes; and
+* the **codegen** section: the fast engine's code-generation layer on the
+  12 benchmarks at issue rate 4 with 16 int / 16 FP core registers, without
+  RC and with RC (the default model 3, on the benchmark's own file):
+  generated-source lines and the seconds of ``_Codegen.generate`` and of
+  CPython's ``compile()``.  Both points, and a parity-only third one with
+  RC at connect latency 1, are compared engine against engine; and
 * the **tier** section: the crossover behind ``TIER_UP_CYCLES``.  Two
   groups, one config per program: 80 ``gen_machine_program`` programs
   (seeds 2000-2079, each on one ``fuzz_configs`` config; the job
@@ -29,7 +35,8 @@ gate and executes the fast engine's checked blocks: the two must fail with
 the same error type and message, or agree on the full stats.
 The fast engine's warmup also populates its per-program code cache, so the
 timed runs measure steady-state engine throughput; the cold first-run time
-(including code generation) is recorded separately for transparency.
+(including code generation) is recorded separately for transparency, beside
+the point's generated-source lines and best-of ``compile()`` seconds.
 
 Usage::
 
@@ -66,6 +73,7 @@ from repro.sim import (  # noqa: E402
     simulate_gang,
     unlimited_machine,
 )
+from repro.sim.fastpath import _Codegen  # noqa: E402
 from repro.workloads import ALL_BENCHMARKS, build_workload, workload  # noqa: E402
 
 ISSUE_RATES = (1, 2, 4, 8)
@@ -106,6 +114,25 @@ def _check_budget_parity(program, config, cycles: int, label: str):
     return []
 
 
+def _codegen_cost(program, config, repeat: int) -> dict:
+    """Lines of the fast engine's generated module for (program, config),
+    and the best-of-*repeat* seconds of generating and ``compile()``-ing
+    it."""
+    decoded = Simulator(program, config)._decoded
+    generate_s = compile_s = float("inf")
+    for _ in range(repeat):
+        t0 = time.perf_counter()
+        source, _consts, _blocks = _Codegen(program, config,
+                                            decoded).generate()
+        t1 = time.perf_counter()
+        compile(source, "<fastpath>", "exec")
+        t2 = time.perf_counter()
+        generate_s = min(generate_s, t1 - t0)
+        compile_s = min(compile_s, t2 - t1)
+    return {"source_lines": source.count("\n"),
+            "generate_seconds": generate_s, "compile_seconds": compile_s}
+
+
 def _time_engine(make_sim, repeat: int) -> float:
     best = float("inf")
     for _ in range(repeat):
@@ -116,9 +143,10 @@ def _time_engine(make_sim, repeat: int) -> float:
     return best
 
 
-def bench_point(program, config, label: str, repeat: int) -> tuple[dict, list]:
-    # Warmup + parity gate.  The fast warmup is timed: it pays the one-time
-    # specialization (codegen + compile) cost, reported as "cold".
+def _cold_parity(program, config, label: str):
+    """One cold run per engine, compared on the full outcome and under a
+    budget one cycle short: the reference result, the cold seconds of each
+    engine, and the problems found."""
     t0 = time.perf_counter()
     ref_res = Simulator(program, config).run()
     ref_cold = time.perf_counter() - t0
@@ -132,7 +160,14 @@ def bench_point(program, config, label: str, repeat: int) -> tuple[dict, list]:
         problems.append(f"{label}: fast engine unexpectedly fell back")
     problems.extend(_check_budget_parity(program, config,
                                          ref_res.stats.cycles, label))
+    return ref_res, ref_cold, fast_cold, problems
 
+
+def bench_point(program, config, label: str, repeat: int) -> tuple[dict, list]:
+    # Warmup + parity gate.  The fast warmup is timed: it pays the one-time
+    # specialization (codegen + compile) cost, reported as "cold".
+    ref_res, ref_cold, fast_cold, problems = _cold_parity(program, config,
+                                                          label)
     insns = ref_res.stats.instructions
     ref_s = _time_engine(lambda: Simulator(program, config), repeat)
     fast_s = _time_engine(lambda: FastSimulator(program, config), repeat)
@@ -147,6 +182,7 @@ def bench_point(program, config, label: str, repeat: int) -> tuple[dict, list]:
         "ref_insns_per_sec": insns / ref_s,
         "fast_insns_per_sec": insns / fast_s,
         "speedup": ref_s / fast_s,
+        **_codegen_cost(program, config, repeat),
     }
     return point, problems
 
@@ -172,11 +208,52 @@ def bench_fig07_set(scale: int, repeat: int) -> tuple[dict, list]:
         "ref_seconds": ref_s,
         "fast_seconds": fast_s,
         "fast_cold_seconds": cold_s,
+        **_codegen_totals(points),
         "ref_insns_per_sec": insns / ref_s,
         "fast_insns_per_sec": insns / fast_s,
         "speedup": ref_s / fast_s,
         "cold_speedup": ref_s / cold_s,
     }
+    return summary, problems
+
+
+def _codegen_totals(points) -> dict:
+    return {key: sum(p[key] for p in points)
+            for key in ("source_lines", "generate_seconds", "compile_seconds")}
+
+
+def _codegen_configs(rc_class) -> dict:
+    """The codegen section's machines: issue rate 4, 16/16 core registers.
+    ``rc_connect1`` is compared for parity only; it is the machine whose
+    generated interlocks still fold map-ready times."""
+    base = dict(issue_width=4, int_core=16, fp_core=16)
+    return {"no_rc": paper_machine(**base),
+            "rc": paper_machine(**base, rc_class=rc_class),
+            "rc_connect1": paper_machine(**base, rc_class=rc_class,
+                                         connect_latency=1)}
+
+
+def bench_codegen(scale: int, repeat: int) -> tuple[dict, list]:
+    """Generated-source size and generate/``compile()`` seconds per
+    benchmark, without and with RC, each point parity-checked cold."""
+    sides = {"no_rc": [], "rc": []}
+    problems = []
+    parity_points = 0
+    for name in ALL_BENCHMARKS:
+        kind = workload(name).kind
+        rc_class = RClass.INT if kind == "int" else RClass.FP
+        module = build_workload(name, scale=scale)
+        for side, cfg in _codegen_configs(rc_class).items():
+            program = compile_module(module, cfg).program
+            *_, probs = _cold_parity(program, cfg, f"{name} {side}")
+            problems.extend(probs)
+            parity_points += 1
+            if side in sides:
+                sides[side].append({"benchmark": name,
+                                    **_codegen_cost(program, cfg, repeat)})
+    summary = {side: {"points": points, **_codegen_totals(points)}
+               for side, points in sides.items()}
+    summary["parity_points"] = parity_points
     return summary, problems
 
 
@@ -403,6 +480,8 @@ def main(argv=None) -> int:
     problems.extend(micro_problems)
     sweep, sweep_problems = bench_sweep_batched(args.scale, args.repeat)
     problems.extend(sweep_problems)
+    codegen, codegen_problems = bench_codegen(args.scale, args.repeat)
+    problems.extend(codegen_problems)
     tier, tier_problems = bench_tier(args.scale, args.repeat)
     problems.extend(tier_problems)
 
@@ -415,6 +494,7 @@ def main(argv=None) -> int:
         "fig07_set": fig07,
         "microbench": micro,
         "sweep_batched": sweep,
+        "codegen": codegen,
         "tier": tier,
     }
     text = json.dumps(report, indent=2)
@@ -425,7 +505,9 @@ def main(argv=None) -> int:
           f"ref {fig07['ref_insns_per_sec']:.0f} insns/s, "
           f"fast {fig07['fast_insns_per_sec']:.0f} insns/s "
           f"-> {fig07['speedup']:.2f}x warm, "
-          f"{fig07['cold_speedup']:.2f}x cold")
+          f"{fig07['cold_speedup']:.2f}x cold "
+          f"({fig07['source_lines']} generated lines, "
+          f"compile() {fig07['compile_seconds']:.3f}s)")
     print(f"microbench ({micro['instructions']} insns): "
           f"ref {micro['ref_insns_per_sec']:.0f} insns/s, "
           f"fast {micro['fast_insns_per_sec']:.0f} insns/s "
@@ -435,6 +517,12 @@ def main(argv=None) -> int:
           f"fast {sweep['fast_points_per_sec']:.1f} points/s, "
           f"batched {sweep['batched_points_per_sec']:.1f} points/s "
           f"-> {sweep['speedup']:.2f}x")
+    for side in ("no_rc", "rc"):
+        c = codegen[side]
+        print(f"codegen {side} ({len(c['points'])} benchmarks at issue 4, "
+              f"16/16 core): {c['source_lines']} lines, "
+              f"generate {c['generate_seconds']:.3f}s, "
+              f"compile() {c['compile_seconds']:.3f}s")
     for group, g in tier.items():
         print(f"tier {group} ({g['programs']} programs, "
               f"{g['no_codegen_runs']} without codegen): "

@@ -31,7 +31,7 @@ import heapq
 from dataclasses import dataclass, field
 
 from repro.errors import CycleBudgetError, SimulationError
-from repro.isa.opcodes import Opcode
+from repro.isa.opcodes import Category, Opcode
 from repro.isa.registers import Imm, PhysReg, RClass
 from repro.isa.semantics import ALU_FUNCS, BRANCH_FUNCS
 from repro.rc.psw import PSW
@@ -45,6 +45,11 @@ K_ALU, K_LI, K_LOAD, K_STORE, K_CBR, K_JMP, K_CALL, K_RET, K_HALT, \
     K_CONNECT, K_TRAP, K_RTE, K_MFPSW, K_MTPSW, K_MFMAP, K_NOP = range(16)
 
 _SRC_IMM, _SRC_INT, _SRC_FP = 0, 1, 2
+
+#: Categories by the int index ``_Dec.cat``: the issue loop counts into a
+#: list by index, since hashing an enum key runs Python-level ``__hash__``.
+_CATEGORIES = tuple(Category)
+_CAT_INDEX = {c: i for i, c in enumerate(_CATEGORIES)}
 
 _KIND_BY_OP = {
     Opcode.LI: K_LI, Opcode.LIF: K_LI,
@@ -63,8 +68,9 @@ _KIND_BY_OP = {
 class _Dec:
     """A decoded instruction: everything the issue loop needs, precomputed."""
 
-    __slots__ = ("kind", "op", "category", "srcs", "dest", "imm", "latency",
-                 "target", "pred_taken", "alu", "brf", "updates", "origin")
+    __slots__ = ("kind", "op", "category", "cat", "srcs", "dest", "imm",
+                 "latency", "target", "pred_taken", "alu", "brf", "updates",
+                 "origin")
 
     def __init__(self) -> None:
         self.updates = None
@@ -167,6 +173,7 @@ class Simulator:
         d = _Dec()
         d.op = instr.op
         d.category = instr.category
+        d.cat = _CAT_INDEX[d.category]
         d.imm = instr.imm
         d.origin = instr.origin
         d.kind = _KIND_BY_OP.get(instr.op, K_ALU)
@@ -344,7 +351,8 @@ class Simulator:
         redirect = config.redirect_penalty
         max_cycles = config.max_cycles
         read_reset = bool(config.rc_model.on_read)
-        by_category = stats.by_category
+        # Folded into ``stats.by_category`` when the segment ends.
+        cat_counts = [0] * len(_CATEGORIES)
         by_origin = stats.by_origin
 
         obs = self.observer
@@ -476,7 +484,7 @@ class Simulator:
                 # ---- execute ----
                 issued += 1
                 stats.instructions += 1
-                by_category[d.category] += 1
+                cat_counts[d.cat] += 1
                 by_origin[d.origin] += 1
                 if obs is not None:
                     obs.on_issue(cycle, pc, issued - 1)
@@ -628,6 +636,10 @@ class Simulator:
                 stats.zero_issue_cycles += next_cycle - cycle
             cycle = next_cycle
 
+        by_category = stats.by_category
+        for category, count in zip(_CATEGORIES, cat_counts):
+            if count:
+                by_category[category] += count
         stats.cycles = cycle
         self._failed = False
         self._pc = pc

@@ -22,6 +22,27 @@ program identity (:data:`_code_cache`).  Single-config runs,
 leaders all look modules up there, so a (program, config) pair is generated
 and ``compile()``d once per process.
 
+A fast block is specialized on two facts of the config, so it carries no
+code for cases its run cannot reach:
+
+* **Mapping on.**  On a machine with an RC register file, a fast block
+  assumes the PSW's map-enable bit is set: operands resolve through the map
+  with no ``if map_en:`` split and the model's map moves run unguarded.
+  Its entry test is ``if cycle > G or not map_en``, so a block entered with
+  mapping off (a trap handler, code after an ``rte`` that restored it off)
+  runs its checked variant, which stays unspecialized.  ``mtpsw`` can turn
+  mapping off mid-block, so a block holding one is generated unspecialized.
+* **Connect latency 0** (the paper default).  A map entry is then ready at
+  its connect's issue cycle, never past the clock, so the map-ready times
+  cannot raise an interlock bound and are not folded into it.
+
+An interlock stall is one branch at every width: it always ends at its
+bound, with an open group closed first, so ``ST[0] += b - cycle -
+(issued and 1)`` accounts both.  Over the 12 benchmarks x {no RC, RC model 3}
+at width 4 with 16/16 core registers, the three cut the generated source
+from 87,087 to 66,521 lines (-24%) and CPython's ``compile()`` time of it
+by 15%; the ``codegen`` section of ``BENCH_simspeed.json`` tracks both.
+
 Two pieces of bookkeeping are paid per block rather than per instruction:
 
 * **Cycle budget.**  A block function starts with one test against its
@@ -190,6 +211,8 @@ class _Codegen:
         self.consts: dict[str, object] = {}
         self.lines: list[str] = []
         self._block_consts: list[str] = []
+        #: Whether the block being emitted assumes ``map_en`` is true.
+        self.map_on = False
 
     # -- helpers ---------------------------------------------------------------
 
@@ -259,7 +282,8 @@ class _Codegen:
         statically true whenever a table exists), then the register-file
         ready check on the physical index.  Every read happens before the
         clock moves and none is written by the stall, so the order of the
-        reads is free: all map translations share one ``map_en`` split.
+        reads is free: all map translations share one ``map_en`` split, or
+        none in a block specialized on mapping on.
         """
         vals = []
         mapped = []  # (index local, map lookup, map-ready, bypass index)
@@ -286,17 +310,25 @@ class _Codegen:
                 mapped.append(("dph", f"{_MAP_NAMES[is_int][WRITE]}[{nm}]",
                                f"{'IMR_W' if is_int else 'FMR_W'}[{nm}]", nm))
             ready.append(f"{'IREADY' if is_int else 'FREADY'}[{dest_expr}]")
+        # At connect latency 0 a map entry is ready at its connect's issue
+        # cycle, never past the clock: it cannot raise the bound.
+        busy = [m[2] for m in mapped] if self.CL else []
         first = True
-        if mapped:
+        if self.map_on:
+            for local, lookup, _busy, _home in mapped:
+                w(ind + f"{local} = {lookup}")
+            ready = busy + ready
+        elif mapped:
             w(ind + "if map_en:")
             for local, lookup, _busy, _home in mapped:
                 w(ind + f"    {local} = {lookup}")
-            self._emit_fold(w, ind + "    ", [m[2] for m in mapped], True)
+            self._emit_fold(w, ind + "    ", busy, True)
             w(ind + "else:")
             for local, _lookup, _busy, home in mapped:
                 w(ind + f"    {local} = {home}")
-            w(ind + "    b = 0")
-            first = False
+            if busy:
+                w(ind + "    b = 0")
+                first = False
         self._emit_fold(w, ind, ready, first)
         return vals, dest_expr, bool(ready)
 
@@ -362,12 +394,14 @@ class _Codegen:
         moves = self._rules[event]
         if not (moves and operands):
             return
-        w(ind + "if map_en:")
+        if not self.map_on:
+            w(ind + "if map_en:")
+            ind += "    "
         for is_int, idx in operands:
             names = _MAP_NAMES[is_int]
             for dst, src in moves:
                 value = idx if src == HOME else f"{names[src]}[{idx}]"
-                w(ind + f"    {names[dst]}[{idx}] = {value}")
+                w(ind + f"{names[dst]}[{idx}] = {value}")
 
     # -- group bookkeeping -----------------------------------------------------
 
@@ -434,19 +468,20 @@ class _Codegen:
         is_mem = kind in (K_LOAD, K_STORE)
 
         # Interlock, closed form: nothing the bound reads changes while the
-        # group closes, so one close plus one stall to ``b`` is exactly the
-        # reference's re-polling loop.
+        # group closes, so one stall to ``b`` is exactly the reference's
+        # re-polling loop.  An open group closes first, on a cycle that
+        # issued (no zero-issue cycle), and a budget test after the stall
+        # sees the clock at which the reference stops.
         vals, dest_expr, bound = self._emit_resolution(w, ind, k, d)
         if bound:
             w(ind + "if b > cycle:")
             i2 = ind + "    "
             if W > 1:
-                w(i2 + "if issued:")
-                w(i2 + "    cycle += 1")
-                w(i2 + "    issued = mem_used = store_seen = 0")
-                w(i2 + "if b > cycle:")
-                w(i2 + "    ST[0] += b - cycle")
-                w(i2 + "    cycle = b")
+                # ``issued and 1``, not ``issued > 0``: a bool operand
+                # leaves CPython's int fast path for the subtraction.
+                w(i2 + "ST[0] += b - cycle - (issued and 1)")
+                w(i2 + "cycle = b")
+                w(i2 + "issued = mem_used = store_seen = 0")
             else:  # groups hold one instruction: a stall is the only wait
                 w(i2 + "ST[0] += b - cycle")
                 w(i2 + "cycle = b")
@@ -530,8 +565,10 @@ class _Codegen:
             raise _Unsupported(f"instr {k}: unhandled kind {kind}")
 
     def _emit_connect(self, w, ind, d) -> None:
-        w(ind + ("_ra = cycle" if self.CL == 0
-                 else f"_ra = cycle + {self.CL}"))
+        ready_at = "cycle"
+        if self.CL:
+            w(ind + f"_ra = cycle + {self.CL}")
+            ready_at = "_ra"
         for rclass, which, idx, phys in d.updates:
             is_int = rclass is RClass.INT
             tab = (("IRM" if which == "read" else "IWM") if is_int
@@ -539,7 +576,7 @@ class _Codegen:
             mr = (("IMR_R" if which == "read" else "IMR_W") if is_int
                   else ("FMR_R" if which == "read" else "FMR_W"))
             w(ind + f"{tab}[{idx}] = {phys}")
-            w(ind + f"{mr}[{idx}] = _ra")
+            w(ind + f"{mr}[{idx}] = {ready_at}")
 
     def _emit_map_home(self, w, ind) -> None:
         if self.ient:
@@ -585,7 +622,14 @@ class _Codegen:
         buf: list[str] = []
         w = buf.append
         ind = "    "
-        if not self.checked:
+        # On an RC machine a fast block assumes mapping on and hands a
+        # mapping-off entry to its (unspecialized) checked variant; only
+        # ``mtpsw`` changes mapping inside a block.
+        self.map_on = (not self.checked and bool(self.ient or self.fent)
+                       and all(dec[k].kind != K_MTPSW for k in body))
+        if self.map_on:
+            w(ind + _GUARD_MAP_ON.format(lead=lead))
+        elif not self.checked:
             w(ind + _GUARD.format(lead=lead))
         if self_loop:
             w(ind + "while 1:")
@@ -631,9 +675,13 @@ class _Codegen:
         return "\n".join(self.lines) + "\n"
 
 
-#: First statement of a fast block, and its self-loop's back-edge re-test.
+#: First statement of an unspecialized fast block, and every self-loop's
+#: back-edge re-test (mapping cannot change inside a specialized block).
 _GUARD = ("if cycle > G: return _CHK({lead}, cycle, issued, mem_used,"
           " store_seen, map_en)")
+#: First statement of a fast block specialized on mapping on.
+_GUARD_MAP_ON = ("if cycle > G or not map_en: return _CHK({lead}, cycle,"
+                 " issued, mem_used, store_seen, map_en)")
 
 
 # -- compiled-code cache -------------------------------------------------------

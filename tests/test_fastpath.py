@@ -328,6 +328,101 @@ class TestFaultParity:
 
 # -- cycle budget: per-block gate and checked blocks ---------------------------
 
+def _mapping_toggle_program():
+    """Mapping turned off and back on by ``mtpsw`` mid-block (in a
+    self-loop too), connects made with mapping off, and a trap handler that
+    calls the subroutine the mapped code calls and loops with mapping off.
+    Every mapped read sees a different register than its unmapped twin, and
+    every loop pass stores what it read."""
+    def r(n):
+        return PhysReg(RClass.INT, n)
+
+    def add(dest, a, b):
+        return Instr(Opcode.ADD, dest=r(dest),
+                     srcs=(r(a), b if isinstance(b, Imm) else r(b)))
+
+    def store(value):
+        return [Instr(Opcode.STORE, srcs=(r(value), r(9)), imm=0),
+                add(9, 9, Imm(1))]
+
+    def cuse(idx, phys):
+        return Instr(Opcode.CUSE, imm=(RClass.INT, idx, phys))
+
+    # A string marks the label of the instruction after it.
+    code = [
+        Instr(Opcode.LI, dest=r(9), imm=2000),              # store cursor
+        Instr(Opcode.LI, dest=r(5), imm=0),
+        Instr(Opcode.CDEF, imm=(RClass.INT, 2, 20)),
+        Instr(Opcode.LI, dest=r(2), imm=11),                # phys 20 = 11
+        Instr(Opcode.LI, dest=r(3), imm=-4),
+        Instr(Opcode.MFPSW, dest=r(12)),                    # mapping on
+        Instr(Opcode.XOR, dest=r(13), srcs=(r(12), Imm(1))),  # mapping off
+        "loop",  # one self-loop block that toggles mapping twice per pass
+        cuse(3, 20),
+        add(6, 3, 5),                                       # mapped read
+        Instr(Opcode.MTPSW, srcs=(r(13),)),
+        add(7, 3, 5),                                       # home read
+        cuse(4, 21),                                        # made unmapped
+        add(8, 6, 7),
+        Instr(Opcode.MTPSW, srcs=(r(12),)),
+        add(10, 4, 8),                                      # mapped again
+        *store(10),
+        add(5, 5, Imm(1)),
+        Instr(Opcode.BLT, srcs=(r(5), Imm(30)), label="loop"),
+        Instr(Opcode.CALL, label="sub"),
+        Instr(Opcode.TRAP, imm=3),
+        Instr(Opcode.LI, dest=r(5), imm=0),
+        "loop2",  # a mapped self-loop without mtpsw, entered after rte
+        cuse(3, 20),
+        add(11, 3, 5),
+        *store(11),
+        add(5, 5, Imm(1)),
+        Instr(Opcode.BLT, srcs=(r(5), Imm(20)), label="loop2"),
+        Instr(Opcode.CALL, label="sub"),
+        Instr(Opcode.HALT),
+        "sub",  # shared by the mapped code and the handler
+        cuse(3, 20),
+        add(14, 3, 5),
+        *store(14),
+        Instr(Opcode.RET),
+        "handler",  # entered with mapping off
+        Instr(Opcode.LI, dest=r(15), imm=0),
+        Instr(Opcode.CALL, label="sub"),
+        "spin",  # a self-loop run with mapping off
+        cuse(3, 20),
+        add(14, 3, 15),
+        *store(14),
+        add(15, 15, Imm(1)),
+        Instr(Opcode.BLT, srcs=(r(15), Imm(12)), label="spin"),
+        Instr(Opcode.RTE),
+    ]
+    instrs, labels = [], {}
+    for item in code:
+        if isinstance(item, str):
+            labels[item] = len(instrs)
+        else:
+            instrs.append(item)
+    return assemble(instrs, labels=labels,
+                    trap_handlers={3: labels["handler"]})
+
+
+@pytest.mark.parametrize("connect_latency", (0, 1))
+@pytest.mark.parametrize("width", (1, 4))
+@pytest.mark.parametrize("model", MODELS)
+def test_mapping_toggled_mid_block_matches(model, width, connect_latency):
+    """Fast blocks assume mapping on: a block holding ``mtpsw`` is generated
+    unspecialized, and a block entered with mapping off (the handler, the
+    subroutine it shares, their loops) runs its checked variant."""
+    prog = _mapping_toggle_program()
+    cfg = paper_machine(issue_width=width, int_core=16, rc_class=RClass.INT,
+                        rc_model=model, connect_latency=connect_latency)
+    _assert_parity(prog, cfg, f"{model.name} w{width} cl{connect_latency}")
+    sim = FastSimulator(prog, cfg)
+    sim.run()
+    handler = prog.trap_handlers[3]
+    assert {handler, handler + 2} <= set(sim._compiled_entry[3])
+
+
 #: (issue width, RC model) configs of the budget sweeps.
 BUDGET_CONFIGS = ((1, RCModel.NO_RESET),
                   (4, RCModel.WRITE_RESET_READ_UPDATE),
