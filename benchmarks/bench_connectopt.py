@@ -19,7 +19,10 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_connectopt.py [-o BENCH_connectopt.json]
 
 Exits non-zero on any parity mismatch or if the effectiveness floor is
-missed.  Connect/cycle deltas are recorded per point in the JSON report.
+missed.  Connect/cycle deltas are recorded per point in the JSON report,
+with the optimizer's own wall seconds and hoist-trial count (the
+connect-opt layer number; totals in ``connect_opt_seconds`` and
+``hoist_trials``).
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import json
 import os
 import platform
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -69,7 +73,9 @@ def bench_point(payload) -> tuple[dict, list[str]]:
     config = _config(w.kind, model, width)
     out = compile_module(w.module(scale), config,
                          CompileOptions(opt_connects=False))
+    t0 = time.perf_counter()
     opt = optimize_connects(out.program, config)
+    seconds = time.perf_counter() - t0
     report = opt.report
     problems: list[str] = []
 
@@ -91,6 +97,8 @@ def bench_point(payload) -> tuple[dict, list[str]]:
         "removed_dead": report.removed_dead,
         "removed_redundant": report.removed_redundant,
         "hoisted": report.hoisted,
+        "trials": report.trials,
+        "connect_opt_seconds": round(seconds, 6),
         "dynamic_before": base_dyn,
         "dynamic_after": opt_dyn,
         "cycles_before": base_stats.cycles,
@@ -144,6 +152,8 @@ def main(argv=None) -> int:
                           for p in points)
     cycles_saved = sum(p["cycles_before"] - p["cycles_after"]
                        for p in points)
+    opt_seconds = sum(p["connect_opt_seconds"] for p in points)
+    trials = sum(p["trials"] for p in points)
     report = {
         "scale": args.scale,
         "core": CORE,
@@ -156,6 +166,8 @@ def main(argv=None) -> int:
         "static_connects_removed": static_removed,
         "dynamic_connects_removed": dynamic_removed,
         "cycles_saved": cycles_saved,
+        "connect_opt_seconds": round(opt_seconds, 4),
+        "hoist_trials": trials,
         "points": points,
     }
     text = json.dumps(report, indent=2)
@@ -173,6 +185,8 @@ def main(argv=None) -> int:
     print(f"  dynamic connects removed {dynamic_removed} total, "
           f"{m3_dynamic} under model 3")
     print(f"  cycles saved             {cycles_saved} total")
+    print(f"  optimizer time           {opt_seconds:.3f} s, "
+          f"{trials} hoist trials")
     print(f"  model 3 benchmarks won   {len(winners)}/"
           f"{len(ALL_BENCHMARKS)}: {', '.join(winners)}")
     if problems:

@@ -9,11 +9,17 @@ those points to the same program.
 
 Usage::
 
-    PYTHONPATH=src python scripts/compile_digest.py
+    PYTHONPATH=src python scripts/compile_digest.py [--expect DIGEST]
+
+With ``--expect`` the script exits 1 unless the digest equals *DIGEST*.
+Register classes and opcodes hash by identity, so set iteration order
+differs from run to run; running it under two ``PYTHONHASHSEED`` values
+gates that no emitted program depends on either order.
 """
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import sys
 from pathlib import Path
@@ -51,7 +57,11 @@ def point_digest(name: str, int_core: int, fp_core: int, model: int,
     return label, h.hexdigest()
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--expect", metavar="DIGEST",
+                        help="exit 1 unless the digest equals DIGEST")
+    args = parser.parse_args(argv)
     total = hashlib.sha256()
     count = 0
     for name in ALL_BENCHMARKS:
@@ -62,7 +72,11 @@ def main() -> int:
                                                  model, width)
                     total.update(f"{label} {digest}\n".encode())
                     count += 1
-    print(f"{count} compiles: {total.hexdigest()}")
+    digest = total.hexdigest()
+    print(f"{count} compiles: {digest}")
+    if args.expect is not None and digest != args.expect:
+        print(f"digest mismatch: expected {args.expect}", file=sys.stderr)
+        return 1
     return 0
 
 

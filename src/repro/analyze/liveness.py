@@ -25,6 +25,15 @@ physical registers a mapped access resolves to, so callers pass
 per-instruction use/def masks (see ``checks._ext_tables``); when the tables
 are omitted the extended component stays empty and only slots are tracked —
 the configuration the connect optimizer uses.
+
+Each instruction is decoded once per :class:`SlotLiveness` object: its
+connect kill masks, home reset, or destination/source/``mfmap`` slot bits
+are cached by instruction identity (as the optimizer's forward map state
+caches its moves), so the per-solve work is the model's undo moves on the
+bits alone.  The extended use/def tables stay keyed by instruction index.
+The connect optimizer keeps one object for a whole call, so the cache spans
+every solve over every program it derives; the checker makes one per
+function.
 """
 
 from __future__ import annotations
@@ -45,9 +54,16 @@ LiveState = tuple[int, int, int]
 
 EMPTY: LiveState = (0, 0, 0)
 
+# Decoded transfer kinds (see ``SlotLiveness._decode``).
+_CONNECT, _RESET, _GENERIC = range(3)
+
 
 class SlotLiveness(BackwardAnalysis):
-    """May-liveness of map slots (and optionally extended registers)."""
+    """May-liveness of map slots (and optionally extended registers).
+
+    The decode cache assumes an instruction is not mutated while this
+    object is in use; *program* is kept only for reference.
+    """
 
     def __init__(self, program: MachineProgram, config: MachineConfig,
                  ext_use: dict[int, int] | None = None,
@@ -69,6 +85,8 @@ class SlotLiveness(BackwardAnalysis):
         }
         self.ext_use = ext_use or {}
         self.ext_def = ext_def or {}
+        #: Instruction -> its decoded transfer, keyed by identity.
+        self._effects: dict = {}
         all_slots = 0
         for cls, n in self.entries.items():
             for index in range(n):
@@ -97,26 +115,17 @@ class SlotLiveness(BackwardAnalysis):
         return state
 
     def transfer(self, state: LiveState, index: int, instr) -> LiveState:
+        effect = self._effects.get(instr)
+        if effect is None:
+            effect = self._effects[instr] = self._decode(instr)
         rmap, wmap, ext = state
-        op = instr.op
+        kind = effect[0]
 
-        if instr.is_connect:
-            cls = instr.imm[0]
-            entries = self.entries.get(cls, 0)
-            # Updates apply in order at runtime; walking them in reverse
-            # makes a same-slot pair behave correctly (the later update
-            # kills the slot before the earlier one is considered).
-            for _cls, which, ri, _rp in reversed(instr.connect_updates()):
-                if ri >= entries:
-                    continue
-                bit = 1 << reg_bit(cls, ri)
-                if which == "read":
-                    rmap &= ~bit
-                else:
-                    wmap &= ~bit
-            return (rmap, wmap, ext)
+        if kind == _CONNECT:
+            # Every update redefines its slot before anything reads it.
+            return (rmap & effect[1], wmap & effect[2], ext)
 
-        if op in HOME_RESET_OPS:
+        if kind == _RESET:
             # Both endpoints reset every entry to home: the callee starts
             # from home maps, so no caller slot is observed, and every slot
             # is redefined before the next instruction runs.
@@ -126,12 +135,9 @@ class SlotLiveness(BackwardAnalysis):
         # read map and the write through the write map (``mfmap`` observes
         # its slot here too), apply the model's moves after each read,
         # execute, apply the moves after the write.  Undo each in reverse.
-        entries = self.entries
+        _kind, dest_bit, src_bits, read_gen, write_gen = effect
         live = [rmap, wmap]
-        dest = instr.dest
-        dest_bit = 0
-        if dest is not None and dest.num < entries.get(dest.cls, 0):
-            dest_bit = 1 << reg_bit(dest.cls, dest.num)
+        if dest_bit:
             for dst, src in self._undo_write:
                 if live[dst] & dest_bit:
                     live[dst] &= ~dest_bit
@@ -140,30 +146,49 @@ class SlotLiveness(BackwardAnalysis):
 
         ext &= ~self.ext_def.get(index, 0)
 
-        src_bits = [1 << reg_bit(src.cls, src.num)
-                    for src in instr.reg_srcs()
-                    if src.num < entries.get(src.cls, 0)]
         for bit in src_bits:
             for dst, src in self._undo_read:
                 if live[dst] & bit:
                     live[dst] &= ~bit
                     if src is not None:
                         live[src] |= bit
-        rmap, wmap = live
-        wmap |= dest_bit
+        ext |= self.ext_use.get(index, 0)
+        return (live[0] | read_gen, live[1] | write_gen, ext)
+
+    def _decode(self, instr) -> tuple:
+        """The state-independent part of *instr*'s transfer (see
+        :meth:`transfer`): connect kill masks, the home reset, or the
+        dest/src slot bits plus the slots the instruction observes."""
+        entries = self.entries
+        if instr.is_connect:
+            cls = instr.imm[0]
+            kill = {"read": 0, "write": 0}
+            for _cls, which, ri, _rp in instr.connect_updates():
+                if ri < entries.get(cls, 0):
+                    kill[which] |= 1 << reg_bit(cls, ri)
+            return (_CONNECT, ~kill["read"], ~kill["write"])
+        if instr.op in HOME_RESET_OPS:
+            return (_RESET,)
+        dest = instr.dest
+        dest_bit = 0
+        if dest is not None and dest.num < entries.get(dest.cls, 0):
+            dest_bit = 1 << reg_bit(dest.cls, dest.num)
+        src_bits = tuple(1 << reg_bit(src.cls, src.num)
+                         for src in instr.reg_srcs()
+                         if src.num < entries.get(src.cls, 0))
+        read_gen = 0
         for bit in src_bits:
-            rmap |= bit
-        if op is Opcode.MFMAP:
+            read_gen |= bit
+        write_gen = dest_bit
+        if instr.op is Opcode.MFMAP:
             rclass, idx, which = instr.imm
             if idx < entries.get(rclass, 0):
                 bit = 1 << reg_bit(rclass, idx)
                 if which == "read":
-                    rmap |= bit
+                    read_gen |= bit
                 else:
-                    wmap |= bit
-
-        ext |= self.ext_use.get(index, 0)
-        return (rmap, wmap, ext)
+                    write_gen |= bit
+        return (_GENERIC, dest_bit, src_bits, read_gen, write_gen)
 
 
 def after_states(result) -> dict[int, LiveState]:

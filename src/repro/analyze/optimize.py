@@ -22,6 +22,19 @@ architectural behaviour:
   never grows while the dynamic count drops from once-per-iteration to
   once-per-loop-entry.
 
+  A trial is proved without building its program.  Its CFG is the
+  original CFG with one instruction on the preheader-to-header edge, and
+  whether the loop connect is a no-op depends only on the read- and
+  write-map slots of the connect's (class, index) pairs, since a slot only
+  ever takes a constant or the other map's value for the same pair.  So a
+  forward solve over those 2-4 slots on the original CFG decides it
+  exactly, from per-block summaries (each slot's value at block end is a
+  constant or a copy of one entry slot) composed once per hoist
+  iteration; only the preheader with the inserted copy and the prefix of
+  the connect's block are replayed instruction by instruction
+  (:class:`_HoistProver`).  A program is built only for a trial that
+  passes.
+
 The pass refuses to touch programs it cannot model statically: anything
 with trap handlers, ``TRAP``/``RTE`` (handlers may connect with mapping
 disabled), ``MTPSW`` (may toggle mapping at runtime) or ``MFMAP`` (observes
@@ -32,7 +45,6 @@ reason in the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from types import SimpleNamespace
 
 from repro.analyze.cfg import FuncCFG, ProgramCFG, build_cfg
 from repro.analyze.dataflow import (ForwardAnalysis, reg_bit, solve_backward,
@@ -191,11 +203,15 @@ class _MapMasks(ForwardAnalysis):
     def copy(self, state: list[int]) -> list[int]:
         return list(state)
 
-    def transfer(self, state: list[int], index: int, instr) -> list[int]:
+    def effect(self, instr: Instr) -> tuple:
+        """*instr*'s ``(destination slot, source slot, mask)`` moves."""
         effect = self._effects.get(instr)
         if effect is None:
             effect = self._effects[instr] = self._decode(instr)
-        for dst, src, mask in effect:
+        return effect
+
+    def transfer(self, state: list[int], index: int, instr) -> list[int]:
+        for dst, src, mask in self.effect(instr):
             state[dst] = mask if src < 0 else state[src]
         return state
 
@@ -231,6 +247,7 @@ def _bail_reason(program: MachineProgram,
 
 
 def _classify_drops(program: MachineProgram, maps: _MapMasks,
+                    live: SlotLiveness,
                     cfg: ProgramCFG) -> dict[int, tuple[set[int], str]]:
     """Map connect index -> (update positions to drop, position -> kind).
 
@@ -250,9 +267,7 @@ def _classify_drops(program: MachineProgram, maps: _MapMasks,
 
     for fn in cfg.functions:
         fwd = solve_forward(fn, maps, program.instrs)
-        bwd = solve_backward(fn, SlotLiveness(program, maps.config),
-                             program.instrs)
-        live = after_states(bwd)
+        after = after_states(solve_backward(fn, live, program.instrs))
         for block in fn.blocks.values():
             claimed.update(range(block.start, block.end))
             if block.start not in fwd.block_in:
@@ -274,7 +289,7 @@ def _classify_drops(program: MachineProgram, maps: _MapMasks,
                         kinds[pos] = "redundant"
                 # Deadness: walk updates backward so an earlier same-slot
                 # update is killed by a later one.
-                rmap, wmap, _ext = live[i]
+                rmap, wmap, _ext = after[i]
                 redefined: set[tuple[str, int]] = set()
                 for pos in range(len(updates) - 1, -1, -1):
                     _c, which, ri, _rp = updates[pos]
@@ -366,10 +381,11 @@ def _delete_indices(program: MachineProgram,
 
 
 def _delete_round(program: MachineProgram, maps: _MapMasks,
+                  live: SlotLiveness,
                   report: ConnectOptReport) -> MachineProgram | None:
     """One deletion round; None when nothing was removable."""
     cfg = build_cfg(program)
-    drops = _classify_drops(program, maps, cfg)
+    drops = _classify_drops(program, maps, live, cfg)
     if not drops:
         return None
 
@@ -417,9 +433,10 @@ def _delete_round(program: MachineProgram, maps: _MapMasks,
 
 
 def _delete_fixpoint(program: MachineProgram, maps: _MapMasks,
+                     live: SlotLiveness,
                      report: ConnectOptReport) -> MachineProgram:
     for _ in range(_MAX_DELETE_ROUNDS):
-        nxt = _delete_round(program, maps, report)
+        nxt = _delete_round(program, maps, live, report)
         if nxt is None:
             return program
         program = nxt
@@ -484,10 +501,9 @@ def _preheader(fn: FuncCFG, header: int, body: set[int]) -> int | None:
 
 
 def _insert_at(program: MachineProgram, instr: Instr, p: int,
-               execute_on_jump: bool) -> SimpleNamespace:
-    """The unvalidated fields of *program* with *instr* (no target)
-    inserted at index *p*, the suffix shifted; ``replace(program,
-    **vars(trial))`` builds the program."""
+               execute_on_jump: bool) -> MachineProgram:
+    """*program* with *instr* (no target) inserted at index *p*, the suffix
+    shifted; a jump to *p* lands on *instr* when *execute_on_jump*."""
 
     def remap(t: int) -> int:
         if t > p or (t == p and not execute_on_jump):
@@ -498,7 +514,8 @@ def _insert_at(program: MachineProgram, instr: Instr, p: int,
     instrs.insert(p, instr)
     targets = [None if t is None else remap(t) for t in program.targets]
     targets.insert(p, None)
-    return SimpleNamespace(
+    return replace(
+        program,
         instrs=instrs,
         targets=targets,
         entry=remap(program.entry),
@@ -507,19 +524,18 @@ def _insert_at(program: MachineProgram, instr: Instr, p: int,
                      for name, (lo, hi) in program.func_ranges.items()},
         suppressions={(k if k < 0 else (k + 1 if k >= p else k)): v
                       for k, v in program.suppressions.items()},
-        trap_handlers=program.trap_handlers,
     )
 
 
 def _hoist_candidates(program: MachineProgram, maps: _MapMasks,
-                      cfg: ProgramCFG):
-    """Yield (connect index, preheader insert position, flag, fn name)."""
+                      live: SlotLiveness, cfg: ProgramCFG):
+    """Yield (connect index, its block, preheader block, preheader insert
+    position, flag, fn name)."""
     for fn in cfg.functions:
         loops = _natural_loops(fn)
         if not loops:
             continue
-        bwd = solve_backward(fn, SlotLiveness(program, maps.config),
-                             program.instrs)
+        bwd = solve_backward(fn, live, program.instrs)
         for header, body in sorted(loops.items()):
             if header == fn.entry or header not in bwd.block_in:
                 continue
@@ -550,40 +566,167 @@ def _hoist_candidates(program: MachineProgram, maps: _MapMasks,
                     pb = fn.blocks[pre]
                     last = program.instrs[pb.end - 1]
                     if last.op is Opcode.JMP or last.is_cond_branch:
-                        yield i, pb.end - 1, True, fn.name
+                        yield i, start, pre, pb.end - 1, True, fn.name
                     else:
-                        yield i, pb.end, False, fn.name
+                        yield i, start, pre, pb.end, False, fn.name
 
 
-def _fully_redundant(trial: SimpleNamespace, maps: _MapMasks,
-                     index: int) -> bool:
-    """Whether every update of the connect at *index* is a no-op.
+class _HoistProver:
+    """Decides hoist trials on the CFG of the program they start from.
 
-    *trial* holds the unvalidated fields of a trial program (instructions,
-    targets, entry, function ranges, trap handlers): enough to recover its
-    CFG without building a :class:`MachineProgram`.
+    A trial program is *program* with a copy of a loop connect inserted on
+    the edge from the loop's preheader (whose only successor is the header)
+    to the header, so its CFG is this CFG with one instruction added at the
+    end of the preheader (before its closing jump, if it has one).  Whether
+    every update of the loop connect is then a no-op depends only on the
+    read- and write-map slots of the connect's (class, index) pairs: a slot
+    only ever takes a constant or the value of the other map's slot of the
+    same pair (see :meth:`_MapMasks._decode`), so a forward solve over
+    those 2-4 slots alone gives exactly the slot values a whole-state solve
+    of the trial program would.
+
+    Each block's effect on every slot — a constant mask or a copy of one
+    entry slot — is composed once per object (one per hoist iteration),
+    and its projection onto one slot set once per function; trials share
+    both.  A projected state packs its slots into one int, a field of
+    *width* bits each, so a join is one ``|``; *width* covers every
+    constant a reachable block of the function sets, the inserted copy's
+    included (they are the loop connect's own).  Only the preheader, with
+    the inserted copy, and the prefix of the connect's block are replayed
+    instruction by instruction.
     """
-    cfg = build_cfg(trial)
-    fn = block = None
-    for f in cfg.functions:
-        for b in f.blocks.values():
-            if b.start <= index < b.end:
-                fn, block = f, b
-                break
-        if block is not None:
-            break
-    if block is None:
-        return False
-    fwd = solve_forward(fn, maps, trial.instrs)
-    if block.start not in fwd.block_in:
-        return False
-    state = maps.copy(fwd.block_in[block.start])
-    for i in range(block.start, index):
-        state = maps.transfer(state, i, trial.instrs[i])
-    return all(maps.redundant(state, trial.instrs[index]))
+
+    def __init__(self, program: MachineProgram, maps: _MapMasks,
+                 cfg: ProgramCFG) -> None:
+        self.instrs = program.instrs
+        self.maps = maps
+        #: block start -> the first function holding it: where a solve over
+        #: the whole trial program judges the connect.
+        self.owner: dict[int, FuncCFG] = {}
+        for fn in cfg.functions:
+            for start in fn.blocks:
+                self.owner.setdefault(start, fn)
+        self._slots = range(len(maps.boundary(None)))
+        #: function entry -> (reachable blocks in RPO, block start ->
+        #: summary, field width).
+        self._functions: dict[int, tuple] = {}
+        #: (function entry, slots) -> block start -> packed effect.
+        self._packed: dict[tuple, dict] = {}
+
+    def _compose(self, instrs) -> tuple[list[int], int]:
+        """Per slot, its value after *instrs* — entry slot *j* (``j >= 0``)
+        or the constant mask *m* (stored as ``~m``) — and the bit length of
+        the widest constant any of them sets."""
+        out = list(self._slots)
+        bits = 0
+        for instr in instrs:
+            for dst, src, mask in self.maps.effect(instr):
+                if src < 0:
+                    out[dst] = ~mask
+                    bits = max(bits, mask.bit_length())
+                else:
+                    out[dst] = out[src]
+        return out, bits
+
+    def _function(self, fn: FuncCFG) -> tuple:
+        got = self._functions.get(fn.entry)
+        if got is None:
+            rpo = fn.rpo()
+            # Home masks are ``1 << index`` with index below the table size.
+            width = max(self.maps.entries.values())
+            summaries = {}
+            for b in rpo:
+                summary, bits = self._compose(self.instrs[b.start:b.end])
+                summaries[b.start] = summary
+                width = max(width, bits)
+            got = self._functions[fn.entry] = (rpo, summaries, width)
+        return got
+
+    @staticmethod
+    def _pack(summary: list[int], slots: tuple[int, ...], width: int):
+        """*summary* projected onto *slots* as a packed-state transfer
+        ``(keep, const, cross moves)``; None when it changes none of them."""
+        field = (1 << width) - 1
+        keep = const = 0
+        cross = []
+        for n, s in enumerate(slots):
+            v = summary[s]
+            if v == s:
+                keep |= field << n * width
+            elif v < 0:
+                const |= ~v << n * width
+            else:
+                cross.append((slots.index(v) * width, n * width))
+        if not const and not cross:
+            return None
+        return keep, const, tuple(cross)
+
+    def proves(self, i: int, start: int, pre: int, p: int) -> bool:
+        """Whether, with a copy of the connect at *i* (in block *start*)
+        inserted at index *p* of preheader *pre*, every update of the
+        original is a no-op."""
+        maps, instrs = self.maps, self.instrs
+        instr = instrs[i]
+        fn = self.owner[start]
+        rpo, summaries, width = self._function(fn)
+        if start not in summaries:
+            return False  # unreachable within its function
+        slots = tuple(sorted({maps.slot(cls, which, ri)
+                              for cls, _which, ri, _rp
+                              in instr.connect_updates()
+                              for which in (READ, WRITE)}))
+        field = (1 << width) - 1
+        packed = self._packed.get((fn.entry, slots))
+        if packed is None:
+            packed = self._packed[fn.entry, slots] = {
+                b: self._pack(summary, slots, width)
+                for b, summary in summaries.items()}
+        pre_effect = None
+        if pre in summaries:
+            pb = fn.blocks[pre]
+            summary, _bits = self._compose(
+                instrs[pb.start:p] + [instr] + instrs[p:pb.end])
+            pre_effect = self._pack(summary, slots, width)
+
+        home = maps.boundary(fn)
+        boundary = 0
+        for n, s in enumerate(slots):
+            boundary |= home[s] << n * width
+        block_out: dict[int, int] = {}
+        changed = True
+        while changed:
+            changed = False
+            for b in rpo:
+                state = boundary if b.start == fn.entry else 0
+                for q in b.preds:
+                    state |= block_out.get(q, 0)
+                if not state:
+                    continue  # not reached yet
+                effect = pre_effect if b.start == pre else packed[b.start]
+                if effect is not None:
+                    keep, const, cross = effect
+                    out = (state & keep) | const
+                    for src, dst in cross:
+                        out |= ((state >> src) & field) << dst
+                    state = out
+                if block_out.get(b.start) != state:
+                    block_out[b.start] = state
+                    changed = True
+
+        state = boundary if start == fn.entry else 0
+        for q in fn.blocks[start].preds:
+            state |= block_out.get(q, 0)
+        values = {s: (state >> n * width) & field
+                  for n, s in enumerate(slots)}
+        for k in range(start, i):
+            for dst, src, mask in maps.effect(instrs[k]):
+                if dst in values:
+                    values[dst] = mask if src < 0 else values[src]
+        return all(maps.redundant(values, instr))
 
 
 def _hoist_pass(program: MachineProgram, maps: _MapMasks,
+                live: SlotLiveness,
                 report: ConnectOptReport) -> MachineProgram:
     """Attempt each hoist candidate; commit only verified, non-growing moves.
 
@@ -593,24 +736,25 @@ def _hoist_pass(program: MachineProgram, maps: _MapMasks,
     before deleting exactly it and re-running the deletion fixpoint.  The
     explicit redundancy proof is what keeps the pair sound: the inserted
     copy and the original are never judged against each other's absence.
-    The proof runs on the trial's raw fields; a validated program is built
-    only for a trial that passes it.
+    :class:`_HoistProver` decides the proof on this program's CFG; a trial
+    program is built only for a trial that passes it.
     """
     trials = 0
     progress = True
     while progress and trials < 200:
         progress = False
         cfg = build_cfg(program)
+        prover = _HoistProver(program, maps, cfg)
         before = _static_connects(program)
-        for i, p, eoj, fname in _hoist_candidates(program, maps, cfg):
+        for i, start, pre, p, eoj, fname in _hoist_candidates(
+                program, maps, live, cfg):
             trials += 1
-            trial = _insert_at(program, program.instrs[i].copy(), p, eoj)
-            orig = i + 1 if i >= p else i
-            if not _fully_redundant(trial, maps, orig):
+            if not prover.proves(i, start, pre, p):
                 continue
-            trial = _delete_indices(replace(program, **vars(trial)), {orig})
+            trial = _insert_at(program, program.instrs[i].copy(), p, eoj)
+            trial = _delete_indices(trial, {i + 1 if i >= p else i})
             trial_report = ConnectOptReport()
-            trial = _delete_fixpoint(trial, maps, trial_report)
+            trial = _delete_fixpoint(trial, maps, live, trial_report)
             if _static_connects(trial) > before:
                 continue
             report.hoisted += 1
@@ -640,10 +784,11 @@ def optimize_connects(program: MachineProgram,
         return OptimizeResult(program=program, report=report)
 
     maps = _MapMasks(config)
-    program = _delete_fixpoint(program, maps, report)
+    live = SlotLiveness(program, config)
+    program = _delete_fixpoint(program, maps, live, report)
     for _ in range(_MAX_HOIST_PASSES):
         hoists_before = report.hoisted
-        program = _hoist_pass(program, maps, report)
+        program = _hoist_pass(program, maps, live, report)
         if report.hoisted == hoists_before:
             break
     report.connects_after = _static_connects(program)

@@ -32,6 +32,11 @@ class Category(enum.Enum):
     SYSTEM = "system"
     MISC = "misc"
 
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with ``==`` and runs in C (``Enum.__hash__`` hashes the name in
+    # Python).  Nothing emitted may depend on set iteration order.
+    __hash__ = object.__hash__
+
 
 class Opcode(enum.Enum):
     # Integer ALU.
@@ -99,6 +104,8 @@ class Opcode(enum.Enum):
     MTPSW = "mtpsw"
     MFMAP = "mfmap"
     NOP = "nop"
+
+    __hash__ = object.__hash__  # see Category
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Opcode.{self.name}"

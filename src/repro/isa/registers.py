@@ -30,6 +30,10 @@ class RClass(enum.Enum):
     INT = "int"
     FP = "fp"
 
+    # An identity hash agrees with ``==`` for singleton members and runs in
+    # C, unlike ``Enum.__hash__``; nothing emitted may depend on set order.
+    __hash__ = object.__hash__
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RClass.{self.name}"
 

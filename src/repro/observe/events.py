@@ -251,6 +251,8 @@ class Observer:
     def on_stall(self, cycle: int, duration: int, pc: int, cause: str,
                  rclass: RClass, index: int, origin: str | None,
                  category) -> None:
+        # A subclass that records no stalls sets ``on_stall = None``: the
+        # simulator then skips diagnosing the blocking register.
         self.stall_by_cause[cause] += duration
         self.stall_by_origin[origin] += duration
         self.stall_by_category[category] += duration

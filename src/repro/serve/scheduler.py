@@ -137,8 +137,6 @@ class Scheduler:
         self._manager = None
         self._queue = None
         self._drain_thread: threading.Thread | None = None
-        #: Waiters of :meth:`_relayed`, by marker token.
-        self._syncs: dict[str, asyncio.Future] = {}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -198,11 +196,6 @@ class Scheduler:
                 return  # loop shut down between the check and the call
 
     def _record_event(self, event: dict) -> None:
-        if event.get("stream") == "sync":
-            waiter = self._syncs.get(event["token"])
-            if waiter is not None and not waiter.done():
-                waiter.set_result(None)
-            return
         job = self.jobs.get(event.get("job", ""))
         if job is None:
             return
@@ -289,24 +282,6 @@ class Scheduler:
             return self._pool.submit(execute_job, job.id, job.kind,
                                      job.payload)
 
-    async def _relayed(self) -> bool:
-        """Wait until every event already on the progress queue has been
-        recorded; False if the queue is gone or stalls.
-
-        A marker put now drains after them: the queue is FIFO and the loop
-        runs the drain thread's callbacks in order.
-        """
-        token = uuid.uuid4().hex
-        self._syncs[token] = self._loop.create_future()
-        try:
-            self._queue.put({"stream": "sync", "token": token})
-            await asyncio.wait_for(self._syncs[token], timeout=5)
-            return True
-        except Exception:  # noqa: BLE001 - manager gone or drain stalled
-            return False
-        finally:
-            self._syncs.pop(token, None)
-
     async def _await_job(self, job: Job, future) -> None:
         retried = False
         while True:
@@ -320,19 +295,21 @@ class Scheduler:
                 except asyncio.TimeoutError:
                     pass  # queue lost during shutdown; finalize anyway
             except Exception as exc:  # noqa: BLE001 - pool broke underneath
-                # A worker puts ``started`` before it runs the job, and the
-                # pool breaks only after that put returned; so once the
-                # queue has been relayed, ``queued`` means no worker ever
-                # ran this job (it was handed to a dying pool): run it once
-                # more.  A job that started, even one that killed its own
-                # worker, ends ``worker-lost``.
-                if (isinstance(exc, BrokenProcessPool) and not retried
-                        and await self._relayed()
-                        and job.status == "queued"):
+                # A broken pool fails every job it held: one handed to it
+                # as it died, and one a healthy worker was running when
+                # another worker died.  Results are deterministic and
+                # content-addressed, so run the job once more, started or
+                # not.  A job whose rerun breaks the pool again most likely
+                # kills its own worker: it ends ``worker-crashed``.
+                broken = isinstance(exc, BrokenProcessPool)
+                if broken and not retried:
                     retried = True
+                    # The lost run may have sent ``finished`` already.
+                    job.worker_done.clear()
                     future = self._dispatch(job)
                     continue
-                status, body, meta = "error", {"type": "worker-lost",
+                kind = "worker-crashed" if broken else "worker-lost"
+                status, body, meta = "error", {"type": kind,
                                                "message": str(exc)}, {}
             break
         self._finalize(job, status, body, meta)

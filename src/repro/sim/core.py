@@ -356,6 +356,9 @@ class Simulator:
         by_origin = stats.by_origin
 
         obs = self.observer
+        # An observer that sets ``on_stall = None`` wants no stall
+        # diagnosis: the interlock then skips ``_blocking_source``.
+        on_stall = None if obs is None else obs.on_stall
         psw = state.psw
         map_en = psw.map_enable
         pc = self._pc
@@ -463,11 +466,11 @@ class Simulator:
                     # CRAY-1 interlock: in-order issue stalls here.
                     if issued == 0:
                         next_cycle = block
-                        if obs is not None:
+                        if on_stall is not None:
                             cause, rcls, ridx = self._blocking_source(
                                 d, cycle, map_en)
-                            obs.on_stall(cycle, block - cycle, pc, cause,
-                                         rcls, ridx, d.origin, d.category)
+                            on_stall(cycle, block - cycle, pc, cause,
+                                     rcls, ridx, d.origin, d.category)
                     break
 
                 # ---- structural hazards ----

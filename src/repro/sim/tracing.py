@@ -127,9 +127,13 @@ class PipelineTrace:
 
 class _IssueRecorder(Observer):
     """Appends each issue's ``(cycle, pc)`` to a :class:`PipelineTrace`, up
-    to *limit* events; every other hook keeps only the base counters."""
+    to *limit* events; every other hook but stalls keeps only the base
+    counters."""
 
     __slots__ = ("trace",)
+
+    #: Records no stalls, so the simulator skips diagnosing them.
+    on_stall = None
 
     def __init__(self, trace: PipelineTrace, limit: int) -> None:
         super().__init__(keep_events=False, limit=limit)

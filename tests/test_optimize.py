@@ -7,7 +7,9 @@ files and memory) against the unoptimized program, mirroring the CI job.
 
 import pytest
 
-from repro.analyze import check_program, optimize_connects
+from repro.analyze import (build_cfg, check_program, optimize_connects,
+                           solve_forward)
+from repro.analyze import optimize
 from repro.compiler.pipeline import CompileOptions, compile_module
 from repro.experiments.figures import _config
 from repro.isa import RClass
@@ -18,6 +20,27 @@ from repro.sim.config import paper_machine
 from repro.workloads import workload
 
 ALL_MODELS = [1, 2, 3, 4, 5]
+
+
+def _trial_is_redundant(program, maps, i, p, eoj):
+    """Oracle: whether the connect at *i* is a no-op once a copy sits at
+    *p*, by a forward solve over the whole trial program."""
+    trial = optimize._insert_at(program, program.instrs[i].copy(), p, eoj)
+    index = i + 1 if i >= p else i
+    for fn in build_cfg(trial).functions:
+        block = next((b for b in fn.blocks.values()
+                      if b.start <= index < b.end), None)
+        if block is not None:
+            break
+    else:
+        return False
+    fwd = solve_forward(fn, maps, trial.instrs)
+    if block.start not in fwd.block_in:
+        return False
+    state = maps.copy(fwd.block_in[block.start])
+    for k in range(block.start, index):
+        state = maps.transfer(state, k, trial.instrs[k])
+    return all(maps.redundant(state, trial.instrs[index]))
 
 
 def machine(model=3, rc=True, cls=RClass.INT):
@@ -256,6 +279,33 @@ class TestPipeline:
         assert (report.trials, report.hoisted, report.removed_dead,
                 report.removed_redundant) == expect
         assert f"{expect[0]} hoist trials" in report.lines()[0]
+
+    @pytest.mark.parametrize("name", ["compress", "matrix300", "nasa7",
+                                      "yacc"])
+    def test_hoist_proof_matches_whole_program_solve(self, name,
+                                                     monkeypatch):
+        # Every hoist candidate the optimizer meets, models 1-5 on the
+        # 16/32 figure-8 core pair: the slot-projected proof on the
+        # original CFG must decide exactly what a full forward solve over
+        # the trial program decides.
+        decisions = []
+        candidates = optimize._hoist_candidates
+
+        def checked(program, maps, live, cfg):
+            prover = optimize._HoistProver(program, maps, cfg)
+            for cand in candidates(program, maps, live, cfg):
+                i, start, pre, p, eoj, _fn = cand
+                want = _trial_is_redundant(program, maps, i, p, eoj)
+                assert prover.proves(i, start, pre, p) == want, cand
+                decisions.append(want)
+                yield cand
+
+        monkeypatch.setattr(optimize, "_hoist_candidates", checked)
+        for model in range(1, 6):
+            config = _config(name, rc=True, int_core=16, fp_core=32,
+                             model=RCModel(model))
+            compile_module(workload(name).module(1), config)
+        assert True in decisions and False in decisions
 
     def test_optimized_output_checks_clean_of_own_rules(self):
         # The checker's RC003/RC005/RC006 are exactly what the optimizer

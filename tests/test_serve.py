@@ -478,16 +478,48 @@ class TestWorkerLoss:
                                            "machine": {"issue": 2}}))
         assert job["status"] == "done", job.get("error")
 
-    def test_job_that_kills_its_worker_is_not_rerun(self, own_server,
-                                                    monkeypatch):
+    def test_job_on_the_surviving_worker_is_rerun(self, own_server,
+                                                  tmp_path, monkeypatch):
+        # The job parks in its worker until released, so the pool's other
+        # worker can be killed while it runs: the whole pool breaks under
+        # a job whose own worker was healthy.
+        park = tmp_path / "park"
+        park.mkdir()
+        monkeypatch.setitem(_PARK, "dir", str(park))
         # Pool workers fork from this process at the first submit, so
         # they inherit the patched job table.
         monkeypatch.setitem(serve_workers._KINDS, "simulate",
+                            _park_then_simulate)
+        scheduler = own_server.app.scheduler
+        c = ServeClient(own_server.url)
+        warm = c.wait(c.submit("compile", {"asm": "halt\n"}))
+        assert warm["status"] == "done"
+        pool = scheduler._pool
+        assert len(pool._processes) == 2
+        job = c.submit("simulate", {"benchmark": "cmp"})
+        deadline = time.monotonic() + 30
+        while time.monotonic() < deadline and not (
+                list(park.iterdir())
+                and c.get(job["id"])["status"] == "running"):
+            time.sleep(0.02)
+        (runner,) = [int(f.name) for f in park.iterdir()]
+        assert c.get(job["id"])["status"] == "running"
+        os.kill(next(pid for pid in pool._processes if pid != runner),
+                signal.SIGKILL)
+        while not pool._broken and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert pool._broken
+        (park / "go").touch()
+        job = c.wait(job)
+        assert job["status"] == "done", job.get("error")
+        ran_on = {f.name for f in park.iterdir()} - {"go"}
+        assert len(ran_on) == 2 and str(runner) in ran_on
+
+    def test_job_that_kills_its_worker_twice_ends_crashed(self, own_server,
+                                                          monkeypatch):
+        monkeypatch.setitem(serve_workers._KINDS, "simulate",
                             _kill_own_worker)
         scheduler = own_server.app.scheduler
-        # Relay worker events slowly, in order, so the pool breaks before
-        # the job's ``started`` event reaches the loop.
-        monkeypatch.setattr(scheduler, "_queue", _SlowRelay(scheduler._queue))
         dispatched = []
         dispatch = scheduler._dispatch
 
@@ -497,32 +529,33 @@ class TestWorkerLoss:
 
         monkeypatch.setattr(scheduler, "_dispatch", counting_dispatch)
         c = ServeClient(own_server.url)
-        # A first job moves the drain thread onto the slow relay.
         warm = c.wait(c.submit("compile", {"asm": "halt\n"}))
         assert warm["status"] == "done"
         job = c.wait(c.submit("simulate", {"benchmark": "cmp"}))
         assert job["status"] == "error"
-        assert job["error"]["type"] == "worker-lost"
-        assert dispatched == [warm["id"], job["id"]]
+        assert job["error"]["type"] == "worker-crashed"
+        assert dispatched == [warm["id"], job["id"], job["id"]]
 
 
 def _kill_own_worker(job_id: str, payload: dict) -> dict:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-class _SlowRelay:
-    """A progress queue whose reader gets each event half a second late."""
+#: Where :func:`_park_then_simulate` parks (set before the pool forks).
+_PARK: dict[str, str] = {}
+_SIMULATE = serve_workers._KINDS["simulate"]
 
-    def __init__(self, queue) -> None:
-        self._queue = queue
 
-    def get(self):
-        event = self._queue.get()
-        time.sleep(0.5)
-        return event
-
-    def put(self, event) -> None:
-        self._queue.put(event)
+def _park_then_simulate(job_id: str, payload: dict) -> dict:
+    """Simulate once the file ``go`` exists, leaving a file named after
+    this worker's pid while parked."""
+    park = _PARK["dir"]
+    open(os.path.join(park, str(os.getpid())), "w").close()
+    deadline = time.monotonic() + 60
+    while (not os.path.exists(os.path.join(park, "go"))
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    return _SIMULATE(job_id, payload)
 
 
 class TestServeReplay:
