@@ -12,19 +12,23 @@ Measures instructions/second for both engines over
 * the **codegen** section: the fast engine's code-generation layer on the
   12 benchmarks at issue rate 4 with 16 int / 16 FP core registers, without
   RC and with RC (the default model 3, on the benchmark's own file):
-  generated-source lines and the seconds of ``_Codegen.generate`` and of
-  CPython's ``compile()``.  Both points, and a parity-only third one with
-  RC at connect latency 1, are compared engine against engine; and
-* the **tier** section: the crossover behind ``TIER_UP_CYCLES``.  Two
-  groups, one config per program: 80 ``gen_machine_program`` programs
-  (seeds 2000-2079, each on one ``fuzz_configs`` config; the job
-  service's short traffic) and the 12 fig07 benchmarks on the
+  generated-source lines and the seconds of generating every block
+  (``_Codegen.block``) and of CPython's ``compile()`` of each.  Both
+  points, and a parity-only third one with RC at connect latency 1, are
+  compared engine against engine; and
+* the **tier** section: the policy of ``simulate()``, which compiles a
+  block at its ``HOT_ENTRIES``-th entry.  Two groups, one config per
+  program: 80 ``gen_machine_program`` programs (seeds 2000-2079, each on
+  one ``fuzz_configs`` config with the job service's 50,000-cycle fuzz
+  budget; its short traffic) and the 12 fig07 benchmarks on the
   unlimited-register machine at issue rate 4 (long runs).  Each program
-  runs cold on the reference engine, the fast engine (code generation +
-  run) and the tiered default path of ``simulate()``, on a fresh copy of
-  the program per run so no engine reuses generated code.  The tiered
-  outcome must equal the reference's: error type and message, or full
-  stats, halting state, memory and both register files.
+  runs cold on the reference engine, the eager fast engine (every block
+  compiled, then the run) and ``simulate()``, on a fresh copy of the
+  program per run so no engine reuses generated code; each engine's
+  generated lines and best-of ``compile()`` seconds are recorded beside
+  its time.  Both outcomes must equal the reference's: error type and
+  message, or full stats, halting state, memory and both register
+  files.
 
 Methodology: each (benchmark, config) point is compiled once; both engines
 then get one warmup run — whose results are compared field-by-field, the
@@ -73,7 +77,11 @@ from repro.sim import (  # noqa: E402
     simulate_gang,
     unlimited_machine,
 )
-from repro.sim.fastpath import _Codegen  # noqa: E402
+from repro.sim.fastpath import (  # noqa: E402
+    _code_cache,
+    _Codegen,
+    program_blocks,
+)
 from repro.workloads import ALL_BENCHMARKS, build_workload, workload  # noqa: E402
 
 ISSUE_RATES = (1, 2, 4, 8)
@@ -114,22 +122,25 @@ def _check_budget_parity(program, config, cycles: int, label: str):
     return []
 
 
-def _codegen_cost(program, config, repeat: int) -> dict:
-    """Lines of the fast engine's generated module for (program, config),
-    and the best-of-*repeat* seconds of generating and ``compile()``-ing
-    it."""
+def _codegen_cost(program, config, repeat: int, leaders=None) -> dict:
+    """Lines of the fast engine's generated blocks for (program, config),
+    every block or those led by *leaders*, and the best-of-*repeat*
+    seconds of generating and ``compile()``-ing them one by one."""
     decoded = Simulator(program, config)._decoded
+    blocks = [(lead, body) for lead, body in program_blocks(program, decoded)
+              if leaders is None or lead in leaders]
     generate_s = compile_s = float("inf")
     for _ in range(repeat):
+        gen = _Codegen(program, config, decoded)
         t0 = time.perf_counter()
-        source, _consts, _blocks = _Codegen(program, config,
-                                            decoded).generate()
+        sources = [gen.block(lead, body)[0] for lead, body in blocks]
         t1 = time.perf_counter()
-        compile(source, "<fastpath>", "exec")
+        for source in sources:
+            compile(source, "<fastpath>", "exec")
         t2 = time.perf_counter()
         generate_s = min(generate_s, t1 - t0)
         compile_s = min(compile_s, t2 - t1)
-    return {"source_lines": source.count("\n"),
+    return {"source_lines": sum(s.count("\n") for s in sources),
             "generate_seconds": generate_s, "compile_seconds": compile_s}
 
 
@@ -377,6 +388,8 @@ def bench_sweep_batched(scale: int, repeat: int) -> tuple[dict, list]:
 
 #: The tier section's short-program group: generated fuzz programs.
 TIER_FUZZ_SEEDS = range(2000, 2080)
+#: The job service's cycle budget for fuzz-asm jobs.
+TIER_FUZZ_BUDGET = 50_000
 
 
 def _tier_groups(scale: int) -> dict[str, list]:
@@ -385,8 +398,8 @@ def _tier_groups(scale: int) -> dict[str, list]:
     for seed in TIER_FUZZ_SEEDS:
         gen = gen_machine_program(seed)
         configs = fuzz_configs(gen.has_connects)
-        fuzz.append((f"fuzz{seed}", gen.program,
-                     configs[seed % len(configs)]))
+        fuzz.append((f"fuzz{seed}", gen.program, dataclasses.replace(
+            configs[seed % len(configs)], max_cycles=TIER_FUZZ_BUDGET)))
     cfg = unlimited_machine(issue_width=4)
     fig07 = [(name, compile_module(build_workload(name, scale=scale),
                                    cfg).program, cfg)
@@ -394,14 +407,20 @@ def _tier_groups(scale: int) -> dict[str, list]:
     return {"fuzz": fuzz, "fig07": fig07}
 
 
-def _final(run):
+def _final(res):
     """A run's full observable outcome, or its error's type and message."""
-    try:
-        res = run()
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
+    if isinstance(res, Exception):
+        return type(res).__name__, str(res)
     return (res.stats, res.halted, res.state.memory, res.state.int_regs,
             res.state.fp_regs)
+
+
+def _attempt(run):
+    """The result of ``run()``, or the exception it raised."""
+    try:
+        return run()
+    except Exception as exc:  # noqa: BLE001 - a faulting run is an outcome
+        return exc
 
 
 def _time_cold(run, program, repeat: int) -> float:
@@ -411,52 +430,68 @@ def _time_cold(run, program, repeat: int) -> float:
     for _ in range(repeat):
         prog = copy.deepcopy(program)
         t0 = time.perf_counter()
-        try:
-            run(prog)
-        except Exception:  # noqa: BLE001 - a faulting run is timed too
-            pass
+        _attempt(lambda: run(prog))
         best = min(best, time.perf_counter() - t0)
     return best
 
 
+def _compiled_leaders(program, config) -> set[int]:
+    """Leaders of the blocks the runs of *program* on *config* compiled."""
+    entry = _code_cache.get(id(program))
+    code = entry[1].get(repr(config)) if entry else None
+    if code is None:
+        return set()
+    return {lead for lead, fast in code.fast.items() if fast is not None}
+
+
+#: The tier section's engines, each run cold on its own program copy.
+TIER_ENGINES = {
+    "ref": lambda p, c: Simulator(p, c).run(),
+    "eager": lambda p, c: FastSimulator(p, c).run(),
+    "simulate": lambda p, c: simulate(p, c, engine="fast"),
+}
+
+
 def bench_tier(scale: int, repeat: int) -> tuple[dict, list]:
-    """Reference vs fast (codegen + run) vs tiered, per program group."""
+    """Reference vs eager fast engine vs ``simulate()``, per program
+    group: seconds, generated lines and ``compile()`` seconds."""
     groups, problems = {}, []
     for group, triples in _tier_groups(scale).items():
         points = []
         for label, program, cfg in triples:
-            engines = {
-                "ref": lambda p, c=cfg: Simulator(p, c).run(),
-                "fast": lambda p, c=cfg: FastSimulator(p, c).run(),
-                "tiered": lambda p, c=cfg: simulate(p, c, engine="fast"),
-            }
-            want = _final(lambda: engines["ref"](program))
-            tiered = simulate(copy.deepcopy(program), cfg, engine="fast")
-            if _final(lambda: engines["tiered"](
-                    copy.deepcopy(program))) != want:
-                problems.append(f"tier {label}: tiered run diverges from "
-                                f"the reference")
-            point = {"label": label, "static": len(program.instrs),
-                     "instructions": tiered.stats.instructions,
-                     "cycles": tiered.stats.cycles,
-                     "engine": tiered.engine,
-                     "handoff_cycle": tiered.handoff_cycle}
-            for name, run in engines.items():
-                point[f"{name}_seconds"] = _time_cold(run, program, repeat)
+            point = {"label": label, "static": len(program.instrs)}
+            want = None
+            for name, run in TIER_ENGINES.items():
+                prog = copy.deepcopy(program)
+                res = _attempt(lambda: run(prog, cfg))
+                if want is None:
+                    want = _final(res)
+                elif _final(res) != want:
+                    problems.append(f"tier {label}: {name} diverges from "
+                                    f"the reference")
+                if name == "simulate" and not isinstance(res, Exception):
+                    point.update(instructions=res.stats.instructions,
+                                 cycles=res.stats.cycles, engine=res.engine,
+                                 handoff_cycle=res.handoff_cycle)
+                leaders = _compiled_leaders(prog, cfg)
+                cost = (_codegen_cost(prog, cfg, repeat, leaders) if leaders
+                        else {"source_lines": 0, "compile_seconds": 0.0})
+                point[f"{name}_seconds"] = _time_cold(
+                    lambda p, r=run: r(p, cfg), program, repeat)
+                point[f"{name}_lines"] = cost["source_lines"]
+                point[f"{name}_compile_seconds"] = cost["compile_seconds"]
             points.append(point)
-        totals = {f"{name}_seconds": sum(p[f"{name}_seconds"]
-                                         for p in points)
-                  for name in ("ref", "fast", "tiered")}
-        ratios = sorted(p["instructions"] / p["static"] for p in points)
+        totals = {f"{name}_{what}": sum(p[f"{name}_{what}"] for p in points)
+                  for name in TIER_ENGINES
+                  for what in ("seconds", "lines", "compile_seconds")}
         groups[group] = {
             "points": points,
             "programs": len(points),
             **totals,
-            "no_codegen_runs": sum(p["engine"] == "reference"
-                                   for p in points),
-            "median_dynamic_per_static": ratios[len(ratios) // 2],
-            "tiered_vs_best": totals["tiered_seconds"]
-            / min(totals["ref_seconds"], totals["fast_seconds"]),
+            "simulate_codegen_runs": sum(p["simulate_lines"] > 0
+                                         for p in points),
+            "simulate_vs_best": totals["simulate_seconds"]
+            / min(totals["ref_seconds"], totals["eager_seconds"]),
         }
     return groups, problems
 
@@ -525,10 +560,15 @@ def main(argv=None) -> int:
               f"compile() {c['compile_seconds']:.3f}s")
     for group, g in tier.items():
         print(f"tier {group} ({g['programs']} programs, "
-              f"{g['no_codegen_runs']} without codegen): "
-              f"ref {g['ref_seconds']:.3f}s, fast {g['fast_seconds']:.3f}s, "
-              f"tiered {g['tiered_seconds']:.3f}s "
-              f"({g['tiered_vs_best']:.2f}x the faster engine)")
+              f"{g['simulate_codegen_runs']} generate code in simulate()): "
+              f"ref {g['ref_seconds']:.3f}s, "
+              f"eager {g['eager_seconds']:.3f}s "
+              f"({g['eager_lines']} lines, "
+              f"compile() {g['eager_compile_seconds']:.3f}s), "
+              f"simulate() {g['simulate_seconds']:.3f}s "
+              f"({g['simulate_lines']} lines, "
+              f"compile() {g['simulate_compile_seconds']:.3f}s; "
+              f"{g['simulate_vs_best']:.2f}x the faster engine)")
     if problems:
         print(f"PARITY FAILURES ({len(problems)}):", file=sys.stderr)
         for p in problems:

@@ -323,8 +323,8 @@ def check_program(program: MachineProgram,
     if config.has_rc:
         for fn, result in results:
             ext_use, ext_def = _ext_tables(checker, fn, result, callgraph)
-            analysis = SlotLiveness(program, config,
-                                    ext_use=ext_use, ext_def=ext_def)
+            analysis = SlotLiveness(config, ext_use=ext_use,
+                                    ext_def=ext_def)
             live_by_fn[fn.name] = after_states(
                 solve_backward(fn, analysis, program.instrs))
 

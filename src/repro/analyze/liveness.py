@@ -44,7 +44,6 @@ from repro.isa.opcodes import Opcode
 from repro.isa.registers import RClass
 from repro.rc.models import HOME_RESET_OPS, READ, WRITE
 from repro.sim.config import MachineConfig
-from repro.sim.program import MachineProgram
 
 _CLASSES = (RClass.INT, RClass.FP)
 
@@ -62,13 +61,12 @@ class SlotLiveness(BackwardAnalysis):
     """May-liveness of map slots (and optionally extended registers).
 
     The decode cache assumes an instruction is not mutated while this
-    object is in use; *program* is kept only for reference.
+    object is in use.
     """
 
-    def __init__(self, program: MachineProgram, config: MachineConfig,
+    def __init__(self, config: MachineConfig,
                  ext_use: dict[int, int] | None = None,
                  ext_def: dict[int, int] | None = None) -> None:
-        self.program = program
         self.config = config
         # The model's moves, reversed, over slot-mask positions
         # (0 read map, 1 write map, None home).

@@ -784,7 +784,7 @@ def optimize_connects(program: MachineProgram,
         return OptimizeResult(program=program, report=report)
 
     maps = _MapMasks(config)
-    live = SlotLiveness(program, config)
+    live = SlotLiveness(config)
     program = _delete_fixpoint(program, maps, live, report)
     for _ in range(_MAX_HOIST_PASSES):
         hoists_before = report.hoisted

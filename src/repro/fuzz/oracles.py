@@ -6,8 +6,8 @@ Three oracle families (ISSUE 6 / ROADMAP item 1):
   interpreter must be bit-exact with their references: full
   :class:`SimStats`, memory image, both register files, halting state, and
   (when either side faults) the exact exception type and message.  The
-  same holds for a run that hands over from the reference engine to
-  generated code mid-way (``tier_parity``).
+  same holds for a run that hands each block over from the reference
+  engine to generated code at its T-th entry (``tier_parity``).
 * **checker soundness** — a program the static checker passes with zero
   errors must never raise a (non arithmetic-fault) simulation error at
   runtime; targeted mutations that change behavior must surface a finding.
@@ -21,6 +21,7 @@ in a :class:`Divergence` with the generator seed attached.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 from dataclasses import dataclass, field
 from random import Random
@@ -34,7 +35,7 @@ from repro.isa.registers import RClass
 from repro.rc import RCModel
 from repro.sim import FastSimulator, Simulator, paper_machine
 from repro.sim.config import MachineConfig
-from repro.sim.core import TIER_UP_CYCLES
+from repro.sim.fastpath import HOT_ENTRIES
 
 #: Reset models every fuzz run sweeps (no-reset, the paper default, and the
 #: read-reset extension) — three points that exercise every mapping-table
@@ -343,8 +344,8 @@ def resume_parity(program, config, chunk: int = 7) -> str | None:
 
     def _stop_and_finish():
         # A fast simulator stopped by one segment (usually mid-block)
-        # finishes with a plain run(): it steps to a block leader, then
-        # resumes on generated code.
+        # finishes with a plain run(): the driver runs the reference step
+        # to the next block leader, then generated code.
         sim = FastSimulator(program, config)
         sim.run(until_cycle=chunk)
         return sim.run()
@@ -369,43 +370,62 @@ def resume_parity(program, config, chunk: int = 7) -> str | None:
     return None
 
 
+#: Where a faulting run's resumed tier runs stop their first segment: below
+#: this cycle, since the fault's cycle is unknown.
+_FAULT_SEGMENT_CYCLES = 100
+
+
 def tier_parity(program, config, seed: int = 0) -> str | None:
-    """Tiered-run parity: a run that starts on the reference engine and
-    hands over to generated code (a ``run(until_cycle=K)`` segment, then a
-    :class:`FastSimulator` adopting that reference) must equal one
-    reference run: the exception type and message, or the full
-    :class:`SimStats`, halting state, memory and both register files.  The
-    handoff is tried at cycle 0, at cycle 1, at a seeded mid-run cycle, at
-    :data:`~repro.sim.core.TIER_UP_CYCLES` (the :func:`~repro.sim.simulate`
-    default) and past the run's end."""
+    """Per-block handoff parity: a driver run that runs each block on the
+    reference engine's step until its T-th entry and compiles it there (a
+    :class:`FastSimulator` with ``threshold=T``) must equal one reference
+    run: the exception type and message, or the full :class:`SimStats`,
+    halting state, memory and both register files.
+
+    T is 0 (every block compiled before the run, the eager engine), 1
+    (each block at its first entry), a seeded value, the
+    :data:`~repro.sim.fastpath.HOT_ENTRIES` of :func:`~repro.sim.simulate`,
+    and ``None`` (never: the reference step throughout).  Every T also
+    runs once resumed after a reference ``run(until_cycle=K)`` segment, at
+    a seeded mid-run K; that run reuses the blocks the first one compiled.
+    """
     full_exc, full = _outcome(lambda: Simulator(program, config).run())
-    end = full.stats.cycles if full is not None else TIER_UP_CYCLES
-    mid = Random(seed).randrange(2, max(3, end))
+    rng = Random(seed)
+    end = full.stats.cycles if full is not None else _FAULT_SEGMENT_CYCLES
+    stop = rng.randrange(1, max(2, end))
+    seeded = rng.randrange(2, HOT_ENTRIES)
 
-    def _tiered(handoff):
-        ref = Simulator(program, config)
-        segment = ref.run(until_cycle=handoff)
-        if segment.halted:
-            return segment
-        return FastSimulator(program, config, reference=ref).run()
+    def _tiered(sim, until):
+        if until is not None:
+            segment = sim.run(until_cycle=until)
+            if segment.halted:
+                return segment
+        return sim.run()
 
-    for handoff in (0, 1, mid, TIER_UP_CYCLES, end + 1):
-        exc, res = _outcome(lambda h=handoff: _tiered(h))
-        if exc != full_exc:
-            return (f"handoff at cycle {handoff}: outcome {exc!r} vs "
-                    f"reference {full_exc!r}")
-        if res is None:
-            continue
-        for what, a, b in (
-            ("stats", res.stats, full.stats),
-            ("halted", res.halted, full.halted),
-            ("memory", res.state.memory, full.state.memory),
-            ("int_regs", res.state.int_regs, full.state.int_regs),
-            ("fp_regs", res.state.fp_regs, full.state.fp_regs),
-        ):
-            if a != b:
-                return (f"handoff at cycle {handoff}: {what} diverge: "
-                        f"tiered {a!r} vs reference {b!r}")
+    for threshold in (0, 1, seeded, HOT_ENTRIES, None):
+        # A fresh copy has no generated code, so blocks compile exactly at
+        # their threshold; the eager engine may share the program's code.
+        prog = program if threshold == 0 else copy.deepcopy(program)
+        for until in (None, stop):
+            label = f"threshold {threshold}" + (
+                f", resumed at cycle {until}" if until is not None else "")
+            sim = FastSimulator(prog, config, threshold=threshold)
+            exc, res = _outcome(lambda: _tiered(sim, until))
+            if exc != full_exc:
+                return (f"{label}: outcome {exc!r} vs reference "
+                        f"{full_exc!r}")
+            if res is None:
+                continue
+            for what, a, b in (
+                ("stats", res.stats, full.stats),
+                ("halted", res.halted, full.halted),
+                ("memory", res.state.memory, full.state.memory),
+                ("int_regs", res.state.int_regs, full.state.int_regs),
+                ("fp_regs", res.state.fp_regs, full.state.fp_regs),
+            ):
+                if a != b:
+                    return (f"{label}: {what} diverge: tiered {a!r} vs "
+                            f"reference {b!r}")
     return None
 
 

@@ -290,8 +290,8 @@ def execute_job(job_id: str, kind: str, payload: dict) -> tuple:
     elapsed seconds, and the runner cache-counter delta for the parent's
     stats aggregation (workers are forked copies, so counters must be
     shipped home explicitly — same discipline as the sweep executor).  A
-    job that simulated also reports its ``engine`` (and, when a tiered run
-    handed off, ``handoff_cycle``).
+    job that simulated also reports its ``engine`` (and, when generated
+    code took over part-way, ``handoff_cycle``).
     """
     started = time.perf_counter()
     _put({"job": job_id, "stream": "lifecycle", "type": "started",

@@ -1033,7 +1033,7 @@ def _run_class(program, configs, slots, outcomes, shared_dec,
     dec = leader._ref._decoded
     if shared is None:
         shared_dec.append((dkey, dec))
-    if leader._compiled_entry is None or not _replay_supported(dec):
+    if not leader.complete or not _replay_supported(dec):
         _delegate_slots(program, configs, slots, outcomes)
         return
     followers = [s for s in slots if s != lead_slot]

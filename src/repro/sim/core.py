@@ -89,10 +89,12 @@ class SimResult:
     """Outcome of one simulation run (or run segment, when resumable).
 
     ``engine`` names the engine that produced the result: ``"reference"``,
-    ``"fast"`` (generated code, see :mod:`repro.sim.fastpath`) or
-    ``"batched"`` (a gang follower's replay).  ``handoff_cycle`` is the
-    cycle at which a fast run took over from reference-engine segments,
-    ``None`` when no handoff happened.  Neither takes part in equality.
+    ``"fast"`` (any block ran as generated code, see
+    :mod:`repro.sim.fastpath`) or ``"batched"`` (a gang follower's replay).
+    ``handoff_cycle`` is the cycle at which generated code first ran in a
+    fast run that began on the reference engine, ``None`` when the run
+    began on generated code or never ran any.  Neither takes part in
+    equality.
     """
 
     stats: SimStats
@@ -162,6 +164,9 @@ class Simulator:
         self._pc = program.entry
         self._cycle = 0
         self._halted = False
+        #: per-category issue counts by ``_Dec.cat``, folded into the stats
+        #: by :meth:`_fold_categories` (hashing the enum per issue costs more)
+        self._cat_counts = [0] * len(_CATEGORIES)
         #: set while a segment runs and left set if it raises: registers
         #: and memory are then half-updated, so neither engine resumes.
         self._failed = False
@@ -321,15 +326,63 @@ class Simulator:
         microarchitectural state (used by the time-sharing OS model to
         exercise context switching, paper section 4.2).
         """
-        config = self.config
-        state = self.state
-        program = self.program
-        dec = self._decoded
-
         if self._failed:
             raise SimulationError(
                 "cannot resume a simulator after a failed run: "
                 "architectural state is no longer consistent")
+        # Poison the resume state until this segment completes cleanly; an
+        # exception below leaves registers/memory half-updated and the
+        # per-segment locals unsaved, so resuming would silently produce
+        # garbage (and would diverge from the fast engine, which restarts).
+        self._failed = True
+        pc, cycle, halted = self._pc, self._cycle, self._halted
+        if not halted:
+            pc, cycle, _, _, _, _, halted = self.step(
+                pc, cycle, 0, 0, False, self.state.psw.map_enable,
+                until_cycle=until_cycle)
+        self._fold_categories()
+        stats = self._stats
+        stats.cycles = cycle
+        self._failed = False
+        self._pc = pc
+        self._cycle = cycle
+        self._halted = halted
+        return SimResult(stats=stats, state=self.state, halted=halted)
+
+    def _fold_categories(self) -> None:
+        """Fold the issue loop's per-category counts into the stats."""
+        counts = self._cat_counts
+        by_category = self._stats.by_category
+        for i, count in enumerate(counts):
+            if count:
+                by_category[_CATEGORIES[i]] += count
+                counts[i] = 0
+
+    def step(self, pc: int, cycle: int, issued: int, mem_used: int,
+             store_seen, map_en: bool, left: list[int] | None = None,
+             until_cycle: int | None = None) -> tuple:
+        """The issue loop, entered at *pc* with the issue group of
+        *cycle* open: *issued* instructions, *mem_used* memory channels,
+        *store_seen* a store among them, and mapping on iff *map_en*.
+
+        This is the block-entry step of the fast engine's driver
+        (:mod:`repro.sim.fastpath`): it takes the arguments of a generated
+        block function and returns the same 7-tuple ``(pc, cycle, issued,
+        mem_used, store_seen, map_en, halted)``.  With *left* given, every
+        instruction fetch first counts down ``left[pc]``, and the step
+        returns at the fetch of a pc whose count is already spent, with its
+        group still open; a retry of an instruction that did not issue is
+        not a new fetch.  :meth:`run` is this loop with no *left*, from a
+        cycle boundary, until the program halts or reaches *until_cycle*;
+        then the returned group is empty.
+
+        Counters accumulate onto the simulator's stats; the per-category
+        counts wait in ``_cat_counts`` for :meth:`_fold_categories`.
+        """
+        config = self.config
+        state = self.state
+        program = self.program
+        dec = self._decoded
         stats = self._stats
 
         iregs = state.int_regs
@@ -351,8 +404,7 @@ class Simulator:
         redirect = config.redirect_penalty
         max_cycles = config.max_cycles
         read_reset = bool(config.rc_model.on_read)
-        # Folded into ``stats.by_category`` when the segment ends.
-        cat_counts = [0] * len(_CATEGORIES)
+        cat_counts = self._cat_counts
         by_origin = stats.by_origin
 
         obs = self.observer
@@ -360,50 +412,52 @@ class Simulator:
         # diagnosis: the interlock then skips ``_blocking_source``.
         on_stall = None if obs is None else obs.on_stall
         psw = state.psw
-        map_en = psw.map_enable
-        pc = self._pc
-        cycle = self._cycle
-        halted = self._halted
+        halted = False
         pending = self._interrupts
         n_instrs = len(dec)
+        fetched = -1  # the pc whose fetch *left* last counted
 
-        # Poison the resume state until this segment completes cleanly; an
-        # exception below leaves registers/memory half-updated and the
-        # per-segment locals unsaved, so resuming would silently produce
-        # garbage (and would diverge from the fast engine, which restarts).
-        self._failed = True
-
-        while not halted and (until_cycle is None or cycle < until_cycle):
-            if cycle > max_cycles:
-                raise CycleBudgetError(
-                    f"exceeded {max_cycles} cycles at pc={pc}"
-                )
-            # External interrupt delivery at cycle boundaries (masked while a
-            # trap is in progress).
-            if pending and pending[0][0] <= cycle and not state.trap_stack:
-                _, vector = heapq.heappop(pending)
-                handler = program.trap_handlers.get(vector)
-                if handler is None:
-                    raise SimulationError(f"no handler for interrupt {vector}")
-                state.trap_stack.append((psw.pack(), pc))
-                psw.map_enable = False
-                map_en = False
-                stats.interrupts += 1
-                stats.redirect_cycles += redirect
-                if obs is not None:
-                    obs.on_redirect(cycle, pc, "interrupt", redirect)
-                    obs.on_map_reset(cycle, pc, "interrupt")
-                pc = handler
-                cycle += redirect
-
-            issued = 0
-            mem_used = 0
-            store_seen = False
+        while True:
+            if not issued:
+                # A cycle boundary: no group is open.
+                if halted or (until_cycle is not None
+                              and cycle >= until_cycle):
+                    break
+                if cycle > max_cycles:
+                    raise CycleBudgetError(
+                        f"exceeded {max_cycles} cycles at pc={pc}"
+                    )
+                # External interrupt delivery at cycle boundaries (masked
+                # while a trap is in progress).
+                if (pending and pending[0][0] <= cycle
+                        and not state.trap_stack):
+                    _, vector = heapq.heappop(pending)
+                    handler = program.trap_handlers.get(vector)
+                    if handler is None:
+                        raise SimulationError(
+                            f"no handler for interrupt {vector}")
+                    state.trap_stack.append((psw.pack(), pc))
+                    psw.map_enable = False
+                    map_en = False
+                    stats.interrupts += 1
+                    stats.redirect_cycles += redirect
+                    if obs is not None:
+                        obs.on_redirect(cycle, pc, "interrupt", redirect)
+                        obs.on_map_reset(cycle, pc, "interrupt")
+                    pc = handler
+                    cycle += redirect
             next_cycle = cycle + 1
 
             while issued < width:
                 if pc >= n_instrs:
                     raise SimulationError(f"fell off program end at pc={pc}")
+                if left is not None and pc != fetched:
+                    count = left[pc]
+                    if count <= 0:
+                        return (pc, cycle, issued, mem_used, store_seen,
+                                map_en, False)
+                    left[pc] = count - 1
+                    fetched = pc
                 d = dec[pc]
                 kind = d.kind
 
@@ -486,6 +540,7 @@ class Simulator:
 
                 # ---- execute ----
                 issued += 1
+                fetched = -1
                 stats.instructions += 1
                 cat_counts[d.cat] += 1
                 by_origin[d.origin] += 1
@@ -638,51 +693,34 @@ class Simulator:
             if issued == 0:
                 stats.zero_issue_cycles += next_cycle - cycle
             cycle = next_cycle
+            issued = 0
+            mem_used = 0
+            store_seen = False
 
-        by_category = stats.by_category
-        for category, count in zip(_CATEGORIES, cat_counts):
-            if count:
-                by_category[category] += count
-        stats.cycles = cycle
-        self._failed = False
-        self._pc = pc
-        self._cycle = cycle
-        self._halted = halted
-        return SimResult(stats=stats, state=state, halted=halted)
-
-
-#: Cycles the default fast path spends on the reference engine before it
-#: generates code.  Runs are bimodal: short jobs (fuzz and serve asm, median
-#: one dynamic instruction per static one) halt well inside this window and
-#: never pay code generation; long runs pay one 128-cycle reference segment.
-#: The crossover is measured by the ``tier`` section of
-#: ``BENCH_simspeed.json`` (``benchmarks/bench_simspeed.py``).
-TIER_UP_CYCLES = 128
+        return pc, cycle, 0, 0, False, map_en, halted
 
 
 def simulate(program: MachineProgram, config: MachineConfig,
              engine: str | None = None) -> SimResult:
     """Convenience wrapper: build a simulator and run it.
 
-    ``engine`` selects the execution engine: ``"fast"`` (tiered: the run
-    starts on the reference engine and, if it has not halted after
-    :data:`TIER_UP_CYCLES` cycles, resumes on the specializing engine in
-    :mod:`repro.sim.fastpath`, bit-exact with the reference), ``"batched"``
-    (the gang simulator in :mod:`repro.sim.batched`, run as a gang of one),
-    or ``"reference"``.  ``None`` defers to the ``REPRO_ENGINE`` environment
-    variable and defaults to the fast engine.
+    ``engine`` selects the execution engine: ``"fast"`` (hot-block code
+    generation: the run starts on the reference engine's block step, and
+    each block is generated and compiled at its
+    :data:`~repro.sim.fastpath.HOT_ENTRIES`-th entry, then runs as
+    specialized code from there on, bit-exact with the reference; see
+    :mod:`repro.sim.fastpath`), ``"batched"`` (the gang simulator in
+    :mod:`repro.sim.batched`, run as a gang of one), or ``"reference"``.
+    ``None`` defers to the ``REPRO_ENGINE`` environment variable and
+    defaults to the fast engine.
     """
     from repro.sim.config import resolve_engine
 
     resolved = resolve_engine(engine)
     if resolved == "fast":
-        from repro.sim.fastpath import FastSimulator
+        from repro.sim.fastpath import HOT_ENTRIES, FastSimulator
 
-        ref = Simulator(program, config)
-        result = ref.run(until_cycle=TIER_UP_CYCLES)
-        if result.halted:
-            return result
-        return FastSimulator(program, config, reference=ref).run()
+        return FastSimulator(program, config, threshold=HOT_ENTRIES).run()
     if resolved == "batched":
         from repro.sim.batched import simulate_gang
 

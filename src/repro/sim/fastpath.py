@@ -15,12 +15,43 @@ exactly one generated execution path: a self-loop block (one whose
 terminator targets its own leader) iterates inside its function, every
 pass through the same single-step code.
 
-There is one kind of generated module: specialized on the full
-``repr(config)``, with the RC model's map moves inlined, and cached per
-program identity (:data:`_code_cache`).  Single-config runs,
-:func:`~repro.sim.core.simulate`'s tier-up and the batched engine's class
-leaders all look modules up there, so a (program, config) pair is generated
-and ``compile()``d once per process.
+Each block is generated and ``compile()``d on its own, specialized on the
+full ``repr(config)`` with the RC model's map moves inlined, and cached per
+program identity and config (:data:`_code_cache`).  Eager runs,
+:func:`~repro.sim.core.simulate` and the batched engine's class leaders
+share those entries, so a block of a (program, config) pair is compiled at
+most once per process.
+
+**Hot blocks.**  :func:`~repro.sim.core.simulate` compiles a block only
+once it has run often enough to pay for its code.  The driver
+(:meth:`FastSimulator._run_fast`) starts at cycle 0 with no block bound and
+sends each leader to the reference engine's block step
+(:meth:`~repro.sim.core.Simulator.step`): the same issue loop as
+:meth:`Simulator.run`, entered with the open issue group a generated block
+takes, returning the same 7-tuple.  The step runs on through cold leaders,
+counting each leader's entries, and returns at the fetch of a leader that
+is compiled or has reached its :data:`HOT_ENTRIES`-th entry; the driver
+then binds that block's function, generating and compiling it on first use
+the way ``_CHK`` builds checked blocks, and the entry runs on it.  Both
+engines add into the same :class:`SimStats`, so a run can cross between
+them at every block boundary, in either direction.
+
+Why 16.  Generating and compiling one static instruction costs about
+0.3 ms, while the reference runs about 0.42 Minst/s and generated code
+about 3.5, so a block repays its code only after roughly 120-190
+executions, and most runs are too short for that.  On the job service's
+kind of traffic (400 ``gen_machine_program`` jobs, each on one
+``fuzz_configs`` config with a 50,000-cycle budget) compiling every block
+would generate 235,646 lines; a threshold of 2 generates 12,142 lines in 94
+runs, 16 generates 1,027 lines in 7.  On the 12 benchmarks x {no RC, RC}
+at issue rate 4 with 16/16 core registers, thresholds from 2 to 16 cut the
+generated lines by 25-34% (65,725 eagerly; 43,166 at 16) and save about
+the same time, since the blocks they skip run few times either way.  The
+``tier`` section of ``BENCH_simspeed.json`` measures the policy.
+
+The eager constructor (``FastSimulator(program, config)``) instead
+compiles every block before the run, so a caller that times execution
+alone pays code generation up front; gang leaders need every block too.
 
 A fast block is specialized on two facts of the config, so it carries no
 code for cases its run cannot reach:
@@ -67,21 +98,19 @@ RC model x issue width, and of the error at every cycle budget around a
 run's end.
 
 The engine shares its microarchitectural state layout with the reference
-simulator, so the two hand a run over mid-way.  ``run()`` resumes from the
-embedded reference's state: from cycle 0 on a fresh simulator, or where
-earlier reference segments stopped.  A resumed run first steps the
-reference to the next block leader, since generated code enters blocks only
-there; :func:`repro.sim.core.simulate` uses this to start every run on the
-reference engine and tier up after ``TIER_UP_CYCLES``.  ``run()`` stays on
-the reference whenever its per-event guarantees are needed: an attached
-observer, a scheduled interrupt, a ``run(until_cycle=...)``
-segment, or a program shape the code generator does not support.
+simulator.  ``run()`` resumes from the embedded reference's state: from
+cycle 0 on a fresh simulator, or where earlier reference segments stopped,
+at any pc; the step runs a pc inside a block, and a block the generator
+does not support, up to the next leader.  ``run()`` stays on the reference
+whenever its per-event guarantees are needed: an attached observer, a
+scheduled interrupt, or a ``run(until_cycle=...)`` segment.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
+from functools import partial
 
 #: One-pass identifier scan used to decide which state names a generated
 #: block function needs bound as keyword defaults.
@@ -115,7 +144,17 @@ from repro.sim.core import (
     _SRC_INT,
 )
 
-__all__ = ["FastSimulator", "program_blocks", "program_leaders"]
+__all__ = ["HOT_ENTRIES", "FastSimulator", "program_blocks",
+           "program_leaders"]
+
+#: The entry at which :func:`~repro.sim.core.simulate` compiles a block;
+#: until then the block runs on the reference engine's step (see the module
+#: docstring for why 16).
+HOT_ENTRIES = 16
+
+#: Fetch count of a pc the reference step never stops at: one that is not a
+#: block leader, or leads a block the generator does not support.
+_NEVER = 1 << 62
 
 _CONTROL = frozenset({K_CBR, K_JMP, K_CALL, K_RET, K_HALT, K_TRAP, K_RTE})
 
@@ -176,8 +215,8 @@ def program_blocks(program, decoded) -> list[tuple[int, list[int]]]:
 
 
 class _Codegen:
-    """Generates one Python module of per-block step functions for a
-    (program, config) pair.
+    """Generates the per-block step functions of a (program, config) pair,
+    one block at a time.
 
     Every block function has the uniform signature
     ``fn(cycle, issued, mem_used, store_seen, map_en)`` and returns the
@@ -187,9 +226,8 @@ class _Codegen:
     partially-filled issue group to the fall-through block, exactly like
     the reference engine's inner loop.
 
-    With ``checked=True`` the generator emits the checked variant of single
-    blocks instead (:meth:`checked_block`): a budget test after every clock
-    advance and no gate.
+    With ``checked=True`` the generator emits the checked variant of
+    blocks instead: a budget test after every clock advance and no gate.
     """
 
     def __init__(self, program, config, decoded, checked=False) -> None:
@@ -203,14 +241,15 @@ class _Codegen:
         self.maxc = config.max_cycles
         self.model = config.rc_model
         self.checked = checked
+        self.filename = (f"<fastpath{'-checked' if checked else ''}:"
+                         f"{program.name}>")
         self._rules = {"W": self.model.on_write, "R": self.model.on_read}
         self.ient = config.int_spec.core if config.int_spec.has_rc else 0
         self.fent = config.fp_spec.core if config.fp_spec.has_rc else 0
         self.lmax = max(max((d.latency for d in decoded), default=0),
                         self.CL, 1)
+        #: Named constants of the block being emitted.
         self.consts: dict[str, object] = {}
-        self.lines: list[str] = []
-        self._block_consts: list[str] = []
         #: Whether the block being emitted assumes ``map_en`` is true.
         self.map_on = False
 
@@ -236,7 +275,6 @@ class _Codegen:
 
     def _const(self, name: str, value) -> str:
         self.consts[name] = value
-        self._block_consts.append(name)
         return name
 
     def _imm_expr(self, k: int, j, value) -> str:
@@ -614,8 +652,12 @@ class _Codegen:
 
     # -- module assembly -------------------------------------------------------
 
-    def _emit_block(self, lead: int, body: list[int]) -> None:
-        self._block_consts = []
+    def block(self, lead: int, body: list[int]) -> tuple[str, dict]:
+        """Source defining ``_b<lead>`` (``_c<lead>`` when checked), the
+        function of the block *body* led by *lead*, and the named constants
+        it binds.  Raises :class:`_Unsupported` for a shape the generator
+        does not handle."""
+        self.consts = {}
         dec = self.dec
         term = dec[body[-1]]
         self_loop = term.kind in (K_CBR, K_JMP) and term.target == lead
@@ -644,35 +686,14 @@ class _Codegen:
         binds = []
         if not self.checked:
             binds.append(f"G={self._gate(body)}")
-        names = dict.fromkeys(list(_BINDABLE) + self._block_consts)
         used = set(_IDENT_RE.findall(text))
-        for name in names:
+        for name in dict.fromkeys((*_BINDABLE, *self.consts)):
             if name in used:
                 binds.append(f"{name}={name}")
         prefix = "_c" if self.checked else "_b"
         head = (f"def {prefix}{lead}(cycle, issued, mem_used, store_seen,"
                 f" map_en, *, {', '.join(binds)}):")
-        self.lines.append(head)
-        self.lines.append(text)
-        self.lines.append("")
-
-    def generate(self) -> tuple[str, dict[str, object], list]:
-        """The module source, its consts, and the program's blocks."""
-        blocks = program_blocks(self.program, self.dec)
-        for lead, body in blocks:
-            self._emit_block(lead, body)
-        w = self.lines.append
-        w(f"_FUNCS = [None] * {len(self.dec)}")
-        for lead, _body in blocks:
-            w(f"_FUNCS[{lead}] = _b{lead}")
-        return "\n".join(self.lines) + "\n", self.consts, blocks
-
-    def checked_block(self, lead: int, body: list[int]) -> str:
-        """Source defining ``_c<lead>``, the checked variant of one block.
-        Its consts are the module's own (the same names and values), which
-        the driver's namespace already holds."""
-        self._emit_block(lead, body)
-        return "\n".join(self.lines) + "\n"
+        return f"{head}\n{text}\n", self.consts
 
 
 #: First statement of an unspecialized fast block, and every self-loop's
@@ -686,65 +707,104 @@ _GUARD_MAP_ON = ("if cycle > G or not map_en: return _CHK({lead}, cycle,"
 
 # -- compiled-code cache -------------------------------------------------------
 
-#: id(program) -> (weakref to the program, {repr(config) -> (code, consts,
-#: blocks, {leader -> checked block code}) or None}): one module per config
-#: a :class:`FastSimulator` was built for, shared by single runs, tier-up and
-#: gang leaders.  Keyed by identity because :class:`MachineProgram` is an
-#: eq-bearing (hence unhashable) mutable dataclass; code objects are kept
-#: here, never attached to the program, so a program stays plain data.
+class _Code:
+    """Compiled blocks of one (program, config) pair, filled block by block.
+
+    ``bodies`` maps each leader to its block's instruction indices, in
+    program order.  ``fast`` maps a leader to ``(code, consts)``, the code
+    object defining ``_b<lead>`` and the constants it binds, or to ``None``
+    when the generator does not support the block; ``checked`` maps a
+    leader to the code object defining ``_c<lead>``, whose constants are
+    the fast block's.  An entry holds ints and code, never the program, its
+    decoded list or a :class:`_Codegen`: the weakref callback on the
+    program frees the entry, so anything in it that pinned the program
+    would keep both alive for good.
+    """
+
+    __slots__ = ("bodies", "fast", "checked")
+
+    def __init__(self, bodies: dict[int, list[int]]) -> None:
+        self.bodies = bodies
+        self.fast: dict[int, tuple | None] = {}
+        self.checked: dict[int, object] = {}
+
+    def fill(self, gen, lead: int) -> None:
+        """Generate and ``compile()`` block *lead* into ``fast``."""
+        try:
+            source, consts = gen.block(lead, self.bodies[lead])
+        except _Unsupported:
+            self.fast[lead] = None
+        else:
+            self.fast[lead] = (compile(source, gen.filename, "exec"),
+                               consts)
+
+
+#: id(program) -> (weakref to the program, {repr(config) -> _Code}): the
+#: blocks compiled so far for each config the program ran on, shared by
+#: eager and tiered runs and gang leaders.  Keyed by identity because
+#: :class:`MachineProgram` is an eq-bearing (hence unhashable) mutable
+#: dataclass; code objects are kept here, never attached to the program, so
+#: a program stays plain data.
 _code_cache: dict[int, tuple[object, dict]] = {}
 
 
-def _compiled(program, config, decoded):
-    """Compiled step-function module for (program, config), or ``None`` when
-    the program shape is unsupported.  Cached per program identity, then
-    per ``repr(config)``."""
+def _lookup(program, config, decoded=None) -> _Code | None:
+    """The code entry of (*program*, *config*): ``None`` when there is
+    none, unless the *decoded* program is given to create an empty one."""
     key = id(program)
     entry = _code_cache.get(key)
     if entry is None or entry[0]() is not program:
+        if decoded is None:
+            return None
         ref = weakref.ref(
             program, lambda _r, _k=key: _code_cache.pop(_k, None))
         entry = (ref, {})
         _code_cache[key] = entry
-    per_config = entry[1]
     ckey = repr(config)
-    if ckey not in per_config:
-        try:
-            source, consts, blocks = _Codegen(
-                program, config, decoded).generate()
-        except _Unsupported:
-            per_config[ckey] = None
-        else:
-            code = compile(source, f"<fastpath:{program.name}>", "exec")
-            per_config[ckey] = code, consts, blocks, {}
-    return per_config[ckey]
+    code = entry[1].get(ckey)
+    if code is None and decoded is not None:
+        code = entry[1][ckey] = _Code(dict(program_blocks(program, decoded)))
+    return code
 
 
 class FastSimulator:
-    """Drop-in :class:`Simulator` on generated code; resumes ``reference=`` runs.
+    """Drop-in :class:`Simulator` on generated code.
 
     Construction decodes through an embedded reference simulator (sharing
     its validation and :class:`MachineState`), so architectural state,
-    ``schedule_interrupt`` and observers behave identically.
-    ``reference=`` adopts an existing reference simulator instead, with its
-    decode, state and any segments it has already run; ``run()`` then
-    resumes from where that reference stopped.  ``run()`` executes the
-    specialized engine when it can guarantee bit exactness and silently
+    ``schedule_interrupt`` and observers behave identically.  ``run()``
+    executes the driver when it can guarantee bit exactness and silently
     delegates to the reference engine otherwise; ``ran_fastpath`` reports
-    which engine produced the last result.
+    which of the two produced the last result.
+
+    *threshold* is the entry at which the driver compiles a block: ``0``,
+    the default, compiles every block here, before the run;
+    :func:`~repro.sim.core.simulate` passes :data:`HOT_ENTRIES`; ``None``
+    compiles none, so the driver runs the reference step throughout.
     """
 
     def __init__(self, program, config, observer=None, *, decoded=None,
-                 generic_maps=False, reference=None) -> None:
+                 generic_maps=False, threshold: int | None = 0) -> None:
         """``generic_maps`` is ignored; ``benchmarks/e2e`` still passes it."""
-        if reference is None:
-            reference = Simulator(program, config, observer=observer,
-                                  decoded=decoded)
-        self._ref = reference
+        self._ref = Simulator(program, config, observer=observer,
+                              decoded=decoded)
         self.program = program
         self.config = config
         self.ran_fastpath = False
-        self._compiled_entry = _compiled(program, config, self._ref._decoded)
+        self._threshold = threshold
+        #: This pair's code entry, once one exists.
+        self._code = None
+        #: Whether every block has generated code (gang leaders need it).
+        self.complete = False
+        if threshold == 0:
+            dec = self._ref._decoded
+            code = self._code = _lookup(program, config, dec)
+            gen = None
+            for lead in code.bodies:
+                if lead not in code.fast:
+                    gen = gen or _Codegen(program, config, dec)
+                    code.fill(gen, lead)
+            self.complete = None not in code.fast.values()
 
     # -- reference-state delegation -------------------------------------------
 
@@ -772,26 +832,12 @@ class FastSimulator:
                 or ref.observer is not None
                 or ref._interrupts
                 or ref._failed
-                or ref._halted
-                or self._compiled_entry is None):
+                or ref._halted):
             # Per-event guarantees (observation, interrupts, resumable
-            # segments), a halted or poisoned run (both engines return it
-            # again, or refuse it with the same diagnostic) or an
-            # unsupported program shape: reference engine.
+            # segments), or a halted or poisoned run (both engines return
+            # it again, or refuse it with the same diagnostic): reference
+            # engine.
             return ref.run(until_cycle)
-        # Generated code enters blocks only at their leaders, so a run that
-        # reference segments left mid-block steps on, one cycle at a time,
-        # to the next leader.  A segment ends on a cycle boundary, where no
-        # issue group is open.
-        leaders = {lead for lead, _body in self._compiled_entry[2]}
-        while ref._pc not in leaders:
-            result = ref.run(ref._cycle + 1)
-            if result.halted:
-                return result
-        if any(ret not in leaders for _psw, ret in ref.state.trap_stack):
-            # An interrupt taken in a segment returns mid-block: the rest
-            # of the run stays on the reference.
-            return ref.run()
         self.ran_fastpath = True
         try:
             return self._run_fast()
@@ -802,29 +848,36 @@ class FastSimulator:
             raise
 
     def _run_fast(self, trace=None) -> SimResult:
+        """The driver: dispatch each block leader to its generated
+        function, or to the reference step until the block is due.
+        Resumes from the embedded reference's state, at any pc."""
         ref = self._ref
         state = ref.state
         config = self.config
+        program = self.program
         dec = ref._decoded
-        code, consts, blocks, checked = self._compiled_entry
         n = len(dec)
         maxc = config.max_cycles
         itab = state.int_table
         ftab = state.fp_table
-        # Resume from the reference's microarchitectural state: fresh at
-        # cycle 0, or where its segments stopped.  The ready-time arrays are
-        # shared and updated in place; counters accumulate onto its stats.
+        threshold = self._threshold
+        code = self._code = self._code or _lookup(program, config)
+        # The ready-time arrays and the stats are the reference's own: the
+        # step updates them directly, generated blocks in place or through
+        # ``ST``, which is added on at the end.
         stats = ref._stats
-        iready = ref._iready
-        fready = ref._fready
-        imr_r = ref._imr_r
-        imr_w = ref._imr_w
-        fmr_r = ref._fmr_r
-        fmr_w = ref._fmr_w
         counts = [0] * n
         # [zero-issue cycles, mispredicts, mem-channel stalls, redirects]
-        st = [stats.zero_issue_cycles, stats.mispredicts,
-              stats.mem_channel_stalls, stats.redirect_cycles]
+        st = [0, 0, 0, 0]
+        gens = {}  # generators by ``checked``, made on first use
+        handoff = []  # the cycle at which generated code first ran
+
+        def _gen(checked):
+            gen = gens.get(checked)
+            if gen is None:
+                gen = gens[checked] = _Codegen(program, config, dec,
+                                               checked=checked)
+            return gen
 
         def _mxe(pc):
             raise CycleBudgetError(f"exceeded {maxc} cycles at pc={pc}")
@@ -837,11 +890,11 @@ class FastSimulator:
                 _mxe(lead)
             fn = ns.get(f"_c{lead}")
             if fn is None:
+                checked = code.checked
                 if lead not in checked:
-                    gen = _Codegen(self.program, config, dec, checked=True)
-                    checked[lead] = compile(
-                        gen.checked_block(lead, dict(blocks)[lead]),
-                        f"<fastpath-checked:{self.program.name}>", "exec")
+                    gen = _gen(True)
+                    source, _consts = gen.block(lead, code.bodies[lead])
+                    checked[lead] = compile(source, gen.filename, "exec")
                 exec(checked[lead], ns)
                 fn = ns[f"_c{lead}"]
             return fn(cycle, issued, mem_used, store_seen, map_en)
@@ -850,26 +903,71 @@ class FastSimulator:
             "SE": SimulationError,
             "_mxe": _mxe, "_CHK": _chk,
             "MAXC": maxc,
-            "IREADY": iready, "FREADY": fready,
+            "IREADY": ref._iready, "FREADY": ref._fready,
             "IREGS": state.int_regs, "FREGS": state.fp_regs,
             "MEM": state.memory,
             "IRM": itab.read_map if itab is not None else None,
             "IWM": itab.write_map if itab is not None else None,
             "FRM": ftab.read_map if ftab is not None else None,
             "FWM": ftab.write_map if ftab is not None else None,
-            "IMR_R": imr_r, "IMR_W": imr_w,
-            "FMR_R": fmr_r, "FMR_W": fmr_w,
+            "IMR_R": ref._imr_r, "IMR_W": ref._imr_w,
+            "FMR_R": ref._fmr_r, "FMR_W": ref._fmr_w,
             "IC": counts, "ST": st,
             "RA": state.ra_stack, "TS": state.trap_stack,
             "PSWO": state.psw,
             "IHOME": None, "FHOME": None,
         }
-        ns.update(consts)
-        exec(code, ns)
-        funcs = ns["_FUNCS"]
+
+        # Reference fetches left per pc before the step stops there: 0 at
+        # a leader whose block is compiled or due, _NEVER at a pc that is
+        # no leader, or leads a block without generated code.
+        left = [_NEVER] * n
+        leaders = (code.bodies if code is not None
+                   else program_leaders(program, dec))
+        if threshold is not None:
+            fast = code.fast if code is not None else {}
+            for lead in leaders:
+                if lead not in fast:
+                    left[lead] = max(threshold - 1, 0)
+                elif fast[lead] is not None:
+                    left[lead] = 0
+        step = ref.step
+
+        def _cold(pc, cycle, issued, mem_used, store_seen, map_en):
+            # A pc whose block function is not bound yet.  A leader that
+            # is due gets one, generated and compiled on first use for this
+            # (program, config); any other pc runs the reference step,
+            # which returns at the fetch of a leader that is due.
+            nonlocal code
+            if not left[pc]:
+                if code is None:
+                    code = self._code = _lookup(program, config, dec)
+                if pc not in code.fast:
+                    code.fill(_gen(False), pc)
+                fast = code.fast[pc]
+                if fast is None:
+                    left[pc] = _NEVER
+                else:
+                    obj, consts = fast
+                    ns.update(consts)
+                    exec(obj, ns)
+                    fn = funcs[pc] = ns[f"_b{pc}"]
+                    if not handoff:
+                        handoff.append(cycle)
+                    return fn(cycle, issued, mem_used, store_seen, map_en)
+            return step(pc, cycle, issued, mem_used, store_seen, map_en,
+                        left)
+
+        # Control only ever reaches a leader, but a run resumed after
+        # reference segments starts anywhere, and an interrupt those took
+        # returns mid-block.
+        funcs: list = [None] * n
+        for pc in (*leaders, ref._pc, *(ret for _p, ret in state.trap_stack)):
+            if pc < n:
+                funcs[pc] = partial(_cold, pc)
 
         pc = ref._pc
-        start = cycle = ref._cycle
+        cycle = ref._cycle
         issued = 0
         mem_used = 0
         store_seen = False
@@ -886,11 +984,11 @@ class FastSimulator:
                 if halted:
                     break
         else:
-            # Gang-leader mode (repro.sim.batched): record one (block leader,
-            # iteration count) entry per driver dispatch.  Self-loop blocks
-            # iterate internally (past the gate, on into their checked
-            # variant), so the count is recovered from the block counter's
-            # delta across the call.
+            # Gang-leader mode (repro.sim.batched), on a complete eager
+            # simulator: record one (block leader, iteration count) entry
+            # per driver dispatch.  Self-loop blocks iterate internally
+            # (past the gate, on into their checked variant), so the count
+            # is recovered from the block counter's delta across the call.
             tp, tn = trace
             while True:
                 if cycle > maxc:
@@ -907,24 +1005,28 @@ class FastSimulator:
                 if halted:
                     break
 
-        by_category = stats.by_category
-        by_origin = stats.by_origin
-        instructions = 0
-        branches = 0
-        for lead, body in blocks:
-            cnt = counts[lead]
-            if cnt:
-                for k in body:
-                    d = dec[k]
-                    instructions += cnt
-                    by_category[d.category] += cnt
-                    by_origin[d.origin] += cnt
-                    if d.kind == K_CBR:
-                        branches += cnt
-        stats.instructions += instructions
-        stats.branches += branches
-        (stats.zero_issue_cycles, stats.mispredicts,
-         stats.mem_channel_stalls, stats.redirect_cycles) = st
+        if handoff:
+            by_category = stats.by_category
+            by_origin = stats.by_origin
+            instructions = 0
+            branches = 0
+            for lead, body in code.bodies.items():
+                cnt = counts[lead]
+                if cnt:
+                    for k in body:
+                        d = dec[k]
+                        instructions += cnt
+                        by_category[d.category] += cnt
+                        by_origin[d.origin] += cnt
+                        if d.kind == K_CBR:
+                            branches += cnt
+            stats.instructions += instructions
+            stats.branches += branches
+            stats.zero_issue_cycles += st[0]
+            stats.mispredicts += st[1]
+            stats.mem_channel_stalls += st[2]
+            stats.redirect_cycles += st[3]
+        ref._fold_categories()
         stats.cycles = cycle
 
         # Publish the final position into the embedded reference simulator
@@ -933,5 +1035,7 @@ class FastSimulator:
         ref._pc = pc
         ref._cycle = cycle
         ref._halted = True
+        if not handoff:
+            return SimResult(stats=stats, state=state, halted=True)
         return SimResult(stats=stats, state=state, halted=True,
-                         engine="fast", handoff_cycle=start or None)
+                         engine="fast", handoff_cycle=handoff[0] or None)

@@ -18,7 +18,7 @@ class TestRun:
         assert main(["run", "cmp", "--issue", "2"]) == 0
         out = capsys.readouterr().out
         assert "verification" in out and "OK" in out
-        # cmp outlives the reference segment and tiers up.
+        # cmp's loops reach their hot entry and run as generated code.
         last = out.strip().splitlines()[-1]
         assert last.startswith("engine        fast (handoff at cycle ")
 

@@ -7,6 +7,7 @@ benchmark, RC reset model, and issue width.  Interrupts, observers, and
 trace hooks must transparently fall back to the reference engine.
 """
 
+import copy
 import dataclasses
 import re
 
@@ -26,8 +27,13 @@ from repro.sim import (
     simulate,
     unlimited_machine,
 )
-from repro.sim.core import K_CBR, K_JMP, TIER_UP_CYCLES
-from repro.sim.fastpath import _code_cache, _Codegen
+from repro.sim.core import K_CBR, K_JMP
+from repro.sim.fastpath import (
+    HOT_ENTRIES,
+    _code_cache,
+    _Codegen,
+    program_blocks,
+)
 from repro.workloads import ALL_BENCHMARKS, build_workload, workload
 
 WIDTHS = (1, 2, 4, 8)
@@ -141,9 +147,9 @@ class TestFallback:
 
     def test_resume_inside_interrupt_handler_matches(self):
         """A segment that stops inside an interrupt handler resumes bit-exact.
-        The interrupt's return pc falls mid-block, where generated code
-        cannot return to; while it is on the trap stack at a handler
-        block leader, the rest of the run stays on the reference."""
+        The interrupt's return pc falls mid-block, where no generated block
+        starts: the driver runs it on the reference step up to the next
+        leader, and the rest of the run on generated code."""
         def r(n):
             return PhysReg(RClass.INT, n)
 
@@ -178,7 +184,7 @@ class TestFallback:
             assert res.stats == ref.stats, stop
             assert res.state.memory == ref.state.memory, stop
             assert res.state.int_regs == ref.state.int_regs, stop
-        assert {(True, "reference"), (False, "fast")} <= seen
+        assert seen == {(True, "fast"), (False, "fast")}
 
     def test_trap_and_rte_stay_on_fast_path_and_match(self):
         prog = assemble([
@@ -256,9 +262,30 @@ class TestEngineSelection:
         assert fast.stats == ref.stats
 
 
+def _counted_loop(iterations: int):
+    """A loop block entered *iterations* times between two one-shot
+    blocks."""
+    r6 = PhysReg(RClass.INT, 6)
+    return assemble([
+        Instr(Opcode.LI, dest=r6, imm=0),
+        Instr(Opcode.ADD, dest=r6, srcs=(r6, Imm(1))),
+        Instr(Opcode.BLT, srcs=(r6, Imm(iterations)), label="loop"),
+        Instr(Opcode.STORE, srcs=(r6, Imm(0)), imm=500),
+        Instr(Opcode.HALT),
+    ], labels={"loop": 1})
+
+
+def _assert_same_run(res, ref):
+    assert res.stats == ref.stats
+    assert res.halted == ref.halted
+    assert res.state.memory == ref.state.memory
+    assert res.state.int_regs == ref.state.int_regs
+    assert res.state.fp_regs == ref.state.fp_regs
+
+
 class TestTiering:
-    """``simulate()`` starts on the reference engine and tiers up to
-    generated code once a run outlives ``TIER_UP_CYCLES``."""
+    """``simulate()`` runs each block on the reference engine's step until
+    its ``HOT_ENTRIES``-th entry, then compiles that block alone."""
 
     def test_short_run_generates_no_code(self):
         prog = assemble([
@@ -274,28 +301,71 @@ class TestTiering:
         assert res.engine == "reference" and res.handoff_cycle is None
         assert res.stats == Simulator(prog, cfg).run().stats
 
+    @pytest.mark.parametrize("width", (1, 4))
+    def test_block_compiles_at_its_hot_entry(self, width):
+        cfg = paper_machine(issue_width=width, rc_class=RClass.INT)
+        cold = _counted_loop(HOT_ENTRIES - 1)
+        res = simulate(cold, cfg)
+        assert res.engine == "reference" and id(cold) not in _code_cache
+        _assert_same_run(res, Simulator(cold, cfg).run())
+
+        hot = _counted_loop(HOT_ENTRIES)
+        res = simulate(hot, cfg)
+        code = _code_cache[id(hot)][1][repr(cfg)]
+        assert set(code.fast) == {1}  # the loop block, and no other
+        assert res.engine == "fast"
+        assert 0 < res.handoff_cycle < res.stats.cycles
+        _assert_same_run(res, Simulator(hot, cfg).run())
+
+    def test_step_hands_an_open_group_to_a_compiled_block(self):
+        """A cold block falls through, mid-group, into a block compiled by
+        an earlier run: the store already in the group must keep the
+        compiled block's leading load out of it, and both runs match."""
+        r = lambda n: PhysReg(RClass.INT, n)  # noqa: E731
+        prog = assemble([
+            Instr(Opcode.STORE, srcs=(Imm(7), Imm(0)), imm=500),
+            Instr(Opcode.BEQ, srcs=(r(9), Imm(1)), label="out"),
+            Instr(Opcode.LOAD, dest=r(6), srcs=(Imm(0),), imm=500),
+            Instr(Opcode.ADD, dest=r(7), srcs=(r(7), Imm(1))),
+            Instr(Opcode.BLT, srcs=(r(7), Imm(40)), label="loop"),
+            Instr(Opcode.HALT),
+        ], labels={"loop": 2, "out": 5})
+        cfg = paper_machine(issue_width=4, rc_class=RClass.INT)
+        ref = Simulator(prog, cfg).run()
+        for _ in range(2):
+            res = simulate(prog, cfg)
+            _assert_same_run(res, ref)
+        assert set(_code_cache[id(prog)][1][repr(cfg)].fast) == {2}
+        assert res.engine == "fast"
+
     def test_long_run_hands_off_bit_exact(self):
         module, out, cfg = _point("cmp", 4, RCModel.WRITE_RESET_READ_UPDATE)
-        res = simulate(out.program, cfg)
+        program = copy.deepcopy(out.program)  # no code from other tests
+        res = simulate(program, cfg)
         assert res.engine == "fast"
-        assert TIER_UP_CYCLES <= res.handoff_cycle < res.stats.cycles
-        ref = Simulator(out.program, cfg).run()
-        assert res.stats == ref.stats
-        assert res.state.memory == ref.state.memory
-        assert res.state.int_regs == ref.state.int_regs
-        assert res.state.fp_regs == ref.state.fp_regs
+        assert 0 < res.handoff_cycle < res.stats.cycles
+        code = _code_cache[id(program)][1][repr(cfg)]
+        assert 0 < len(code.fast) < len(program_blocks(
+            program, Simulator(program, cfg)._decoded))
+        _assert_same_run(res, Simulator(program, cfg).run())
 
     def test_direct_fast_run_has_no_handoff(self):
         module, out, cfg = _point("cmp", 2, RCModel.NO_RESET)
         res = FastSimulator(out.program, cfg).run()
         assert res.engine == "fast" and res.handoff_cycle is None
 
-    def test_reference_adopts_state_without_redecoding(self):
+    @pytest.mark.parametrize("threshold", (0, 1, HOT_ENTRIES, None))
+    def test_tiered_run_resumes_a_segment(self, threshold):
+        """A ``run(until_cycle=...)`` segment stops mid-block; a plain
+        ``run()`` resumes it in the driver, bit-exact."""
         module, out, cfg = _point("cmp", 2, RCModel.NO_RESET)
-        ref = Simulator(out.program, cfg)
-        ref.run(until_cycle=3)
-        sim = FastSimulator(out.program, cfg, reference=ref)
-        assert sim._ref is ref and sim.state is ref.state
+        ref = Simulator(out.program, cfg).run()
+        for stop in (3, 50, ref.stats.cycles // 2):
+            sim = FastSimulator(copy.deepcopy(out.program), cfg,
+                                threshold=threshold)
+            assert not sim.run(until_cycle=stop).halted
+            _assert_same_run(sim.run(), ref)
+            assert sim.ran_fastpath
 
 
 class TestFaultParity:
@@ -420,7 +490,7 @@ def test_mapping_toggled_mid_block_matches(model, width, connect_latency):
     sim = FastSimulator(prog, cfg)
     sim.run()
     handler = prog.trap_handlers[3]
-    assert {handler, handler + 2} <= set(sim._compiled_entry[3])
+    assert {handler, handler + 2} <= set(sim._code.checked)
 
 
 #: (issue width, RC model) configs of the budget sweeps.
@@ -465,12 +535,12 @@ def test_checked_blocks_built_only_past_the_gate():
     _module, out, cfg = _point("cmp", 4, RCModel.NO_RESET)
     sim = FastSimulator(out.program, cfg)
     sim.run()
-    assert sim._compiled_entry[3] == {}
+    assert sim._code.checked == {}
     tight = dataclasses.replace(cfg, max_cycles=200)
     sim = FastSimulator(out.program, tight)
     with pytest.raises(CycleBudgetError):
         sim.run()
-    checked = sim._compiled_entry[3]
+    checked = sim._code.checked
     assert checked
     codes = dict(checked)
     with pytest.raises(CycleBudgetError):
@@ -490,12 +560,12 @@ def test_fast_blocks_carry_no_budget_tests(name):
                    unlimited))
     for out, cfg in points:
         dec = Simulator(out.program, cfg)._decoded
-        source, _consts, blocks = _Codegen(out.program, cfg, dec).generate()
-        assert "MAXC" not in source and "_mxe(" not in source
-        assert not re.search(r"\b(BC\d*|_sig|_rec)\b", source)
-        funcs = source.split("def _b")[1:]
-        assert len(funcs) == len(blocks)
-        for (lead, body), text in zip(blocks, funcs):
+        gen = _Codegen(out.program, cfg, dec)
+        for lead, body in program_blocks(out.program, dec):
+            text, _consts = gen.block(lead, body)
+            assert "MAXC" not in text and "_mxe(" not in text
+            assert not re.search(r"\b(BC\d*|_sig|_rec)\b", text)
+            assert text.count("def _b") == 1
             assert text.count("IC[") == 1, lead
             assert f"IC[{lead}] += 1" in text
             term = dec[body[-1]]

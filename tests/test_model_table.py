@@ -225,7 +225,7 @@ def check_slot_liveness(model, ops, states, observed):
     program = straight_line(body)
     cfg = build_cfg(program)
     (main,) = [fn for fn in cfg.functions if 0 in fn.blocks]
-    result = solve_backward(main, SlotLiveness(program, config(model)),
+    result = solve_backward(main, SlotLiveness(config(model)),
                             program.instrs)
     live = after_states(result)
     for j in range(len(ops)):
