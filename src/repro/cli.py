@@ -47,17 +47,22 @@ from repro.observe import (
 from repro.isa.asmfmt import format_listing
 from repro.isa.asmparse import parse_program
 from repro.rc import RCModel
-from repro.sim import paper_machine, simulate, unlimited_machine
+from repro.sim import (
+    VALID_ENGINES,
+    paper_machine,
+    simulate,
+    unlimited_machine,
+)
 from repro.sim.tracing import capture_trace
 from repro.workloads import ALL_BENCHMARKS, workload
 
 
 def _engine_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--engine", default=None,
-                        choices=("fast", "reference", "batched"),
+                        choices=VALID_ENGINES,
                         help="execution engine (default: REPRO_ENGINE env "
-                             "var, else the specializing fast engine; all "
-                             "are bit-exact; batched gangs sweep points)")
+                             "var, else the specializing fast engine; both "
+                             "are bit-exact)")
 
 
 def _machine_args(parser: argparse.ArgumentParser) -> None:

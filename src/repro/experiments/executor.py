@@ -93,10 +93,6 @@ class SweepStats:
     groups: int = 0
     #: jobs that rode a shared compilation instead of compiling themselves.
     grouped_jobs: int = 0
-    #: lockstep gang runs dispatched through the batched engine.
-    gangs: int = 0
-    gang_points: int = 0
-    max_gang: int = 0
 
     def summary(self) -> str:
         text = (
@@ -108,9 +104,6 @@ class SweepStats:
         if self.groups:
             text += (f"; {self.groups} compile groups "
                      f"({self.grouped_jobs} grouped jobs)")
-        if self.gangs:
-            text += (f"; {self.gangs} gangs ({self.gang_points} points, "
-                     f"gang_size max {self.max_gang})")
         return text
 
 
@@ -120,14 +113,6 @@ class SweepStats:
 #: runner per pool worker reuses golden checksums and the in-memory cache
 #: across the jobs that land on it.
 _worker_runners: dict[tuple, ExperimentRunner] = {}
-
-
-def _gang_eligible(engine: str, group: list[SweepJob]) -> bool:
-    """Gang a compile group when the batched engine is selected, the group
-    has more than one point, and no point needs a CPI observer (attribution
-    requires the reference engine)."""
-    return (engine == "batched" and len(group) > 1
-            and not any(job.collect_cpi for job in group))
 
 
 def _worker_group(scale: int, cache_dir: str, verify: bool, engine: str,
@@ -144,42 +129,28 @@ def _worker_group(scale: int, cache_dir: str, verify: bool, engine: str,
 
 def _run_group(runner: ExperimentRunner, group: list[SweepJob]
                ) -> tuple[list[tuple[RunRecord | None, float, str | None]],
-                          dict, int]:
+                          dict]:
     """Run one compile group: every job shares a `_compile_key`, so the
-    group compiles once (warm compile memo) — and under the batched engine
-    the whole group simulates as one lockstep gang.
+    group compiles once (warm compile memo).
 
-    Returns per-job ``(record, elapsed, error)`` in group order, the
-    runner's counter delta, and the gang size used (0 = per-job runs).
-    The delta matters in pool workers, which mutate runners the parent
+    Returns per-job ``(record, elapsed, error)`` in group order and the
+    runner's counter delta.  The delta matters in pool workers, which mutate runners the parent
     never sees: the parent absorbs it so its hit/miss totals stay
     truthful under ``jobs>1``.
     """
     before = runner.counters()
     out: list[tuple[RunRecord | None, float, str | None]] = []
-    gang_n = 0
-    if _gang_eligible(runner.engine, group):
-        gang_n = len(group)
+    for job in group:
         start = time.perf_counter()
-        outcomes = runner.run_gang(
-            group[0].benchmark, [job.config for job in group],
-            opt_level=group[0].opt_level,
-            unroll_factor=group[0].unroll_factor,
-            num_windows=group[0].num_windows)
-        share = (time.perf_counter() - start) / len(group)
-        out = [(record, share, error) for record, error in outcomes]
-    else:
-        for job in group:
-            start = time.perf_counter()
-            record, error = None, None
-            try:
-                record = runner.run(job.benchmark, job.config, **job.kwargs())
-            except Exception as exc:  # noqa: BLE001 - surfaced per job
-                error = f"{type(exc).__name__}: {exc}"
-            out.append((record, time.perf_counter() - start, error))
+        record, error = None, None
+        try:
+            record = runner.run(job.benchmark, job.config, **job.kwargs())
+        except Exception as exc:  # noqa: BLE001 - surfaced per job
+            error = f"{type(exc).__name__}: {exc}"
+        out.append((record, time.perf_counter() - start, error))
     after = runner.counters()
     delta = {name: after[name] - before[name] for name in after}
-    return out, delta, gang_n
+    return out, delta
 
 
 # -- job collection (figure prewarm) ----------------------------------------------
@@ -319,8 +290,7 @@ class SweepExecutor:
 
         Points sharing a ``(benchmark, _compile_key, opt options)`` tuple
         compile identically: each group lands on one worker so the compile
-        memo serves the whole group, and under the batched engine the group
-        simulates as one gang.  Bumps the grouping counters.
+        memo serves the whole group.  Bumps the grouping counters.
         """
         by_key: dict[tuple, list[int]] = {}
         for i in pending:
@@ -335,17 +305,9 @@ class SweepExecutor:
                 self.stats.grouped_jobs += len(group) - 1
         return groups
 
-    def _count_gang(self, size: int) -> None:
-        if size:
-            self.stats.gangs += 1
-            self.stats.gang_points += size
-            self.stats.max_gang = max(self.stats.max_gang, size)
-
     def _run_serial(self, jobs, pending, results, done, total) -> int:
         for idxs in self._group_pending(jobs, pending):
-            outcomes, _, gang_n = _run_group(self.runner,
-                                             [jobs[i] for i in idxs])
-            self._count_gang(gang_n)
+            outcomes, _ = _run_group(self.runner, [jobs[i] for i in idxs])
             for i, (record, elapsed, error) in zip(idxs, outcomes):
                 done = self._finish(i, jobs[i], record, elapsed, error,
                                     results, done, total)
@@ -369,12 +331,11 @@ class SweepExecutor:
                 for fut in finished:
                     idxs = futures[fut]
                     try:
-                        outcomes, delta, gang_n = fut.result()
+                        outcomes, delta = fut.result()
                     except Exception as exc:  # noqa: BLE001
                         error = f"{type(exc).__name__}: {exc}"
                         outcomes = [(None, 0.0, error) for _ in idxs]
-                        delta, gang_n = None, 0
-                    self._count_gang(gang_n)
+                        delta = None
                     if delta is not None:
                         # Fold the worker's counter delta into the parent
                         # runner (the forked worker's own counters are

@@ -336,8 +336,29 @@ class ExperimentRunner:
         else:
             result = simulate(out.program, config, engine=self.engine)
         self.last_engine = result.engine
-        record = self._make_record(benchmark, config, module, out, result,
-                                   observer)
+        checksum_ok = True
+        if self.verify_checksums:
+            checksum_ok = self._verify(benchmark, config, module, out, result)
+        stats = out.stats
+        record = RunRecord(
+            benchmark=benchmark,
+            cycles=result.cycles,
+            instructions=result.stats.instructions,
+            ipc=result.stats.ipc,
+            checksum_ok=checksum_ok,
+            total_static=stats.total_instructions,
+            program_static=stats.program_instructions,
+            spill_static=stats.spill_instructions,
+            connect_static=stats.connect_instructions,
+            callsave_static=stats.callsave_instructions,
+            spilled_vregs=stats.spilled_vregs,
+            extended_vregs=stats.extended_vregs,
+            dyn_connects=result.stats.by_origin.get("connect", 0),
+            dyn_spills=result.stats.by_origin.get("spill", 0),
+            mispredicts=result.stats.mispredicts,
+            cpi=(CPIStack.from_observer(observer, result.stats).to_dict()
+                 if observer is not None else None),
+        )
         self._store(key, record)
         return record
 
@@ -370,79 +391,6 @@ class ExperimentRunner:
                 f"({want!r} != {original!r})"
             )
         return True
-
-    def _make_record(self, benchmark: str, config: MachineConfig, module,
-                     out, result, observer=None) -> RunRecord:
-        checksum_ok = True
-        if self.verify_checksums:
-            checksum_ok = self._verify(benchmark, config, module, out, result)
-        stats = out.stats
-        return RunRecord(
-            benchmark=benchmark,
-            cycles=result.cycles,
-            instructions=result.stats.instructions,
-            ipc=result.stats.ipc,
-            checksum_ok=checksum_ok,
-            total_static=stats.total_instructions,
-            program_static=stats.program_instructions,
-            spill_static=stats.spill_instructions,
-            connect_static=stats.connect_instructions,
-            callsave_static=stats.callsave_instructions,
-            spilled_vregs=stats.spilled_vregs,
-            extended_vregs=stats.extended_vregs,
-            dyn_connects=result.stats.by_origin.get("connect", 0),
-            dyn_spills=result.stats.by_origin.get("spill", 0),
-            mispredicts=result.stats.mispredicts,
-            cpi=(CPIStack.from_observer(observer, result.stats).to_dict()
-                 if observer is not None else None),
-        )
-
-    def run_gang(self, benchmark: str, configs: list[MachineConfig],
-                 opt_level: str = "ilp", unroll_factor: int = 4,
-                 num_windows: int = 4,
-                 ) -> list[tuple[RunRecord | None, str | None]]:
-        """Compile once and simulate *configs* as one lockstep gang.
-
-        Every config must share the benchmark's :func:`_compile_key` (the
-        sweep executor groups points that way), so one compilation serves
-        the whole gang and :func:`repro.sim.simulate_gang` steps all points
-        in a single pass.  Returns ``(record, error)`` per slot in input
-        order: a slot that faults or exhausts its budget carries the error
-        string (matching what :meth:`run` would have raised) without
-        disturbing the other slots.  Successful slots land in the cache
-        exactly as :meth:`run` would store them.
-        """
-        from repro.sim import simulate_gang
-
-        keys = {_compile_key(c) for c in configs}
-        if len(keys) > 1:
-            raise ValueError(f"gang configs span {len(keys)} compile keys")
-        outcomes: list[tuple[RunRecord | None, str | None]] = []
-        try:
-            module, out = self.compile(
-                benchmark, configs[0], opt_level, unroll_factor, num_windows)
-            gang = simulate_gang(out.program, configs)
-        except Exception as exc:  # noqa: BLE001 - surfaced per slot
-            err = f"{type(exc).__name__}: {exc}"
-            return [(None, err) for _ in configs]
-        for config, slot in zip(configs, gang):
-            self.cache_misses += 1
-            if slot.error is not None:
-                exc = slot.error
-                outcomes.append((None, f"{type(exc).__name__}: {exc}"))
-                continue
-            try:
-                record = self._make_record(benchmark, config, module, out,
-                                           slot.result)
-            except Exception as exc:  # noqa: BLE001 - surfaced per slot
-                outcomes.append((None, f"{type(exc).__name__}: {exc}"))
-                continue
-            key = self.cache_key(benchmark, config, opt_level=opt_level,
-                                 unroll_factor=unroll_factor,
-                                 num_windows=num_windows)
-            self._store(key, record)
-            outcomes.append((record, None))
-        return outcomes
 
     # -- paper-style derived quantities ------------------------------------------
 

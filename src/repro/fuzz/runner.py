@@ -15,9 +15,10 @@ Before any new programs are generated the committed corpus is replayed:
 every past reproducer must still pass its oracle, and every crash-corpus
 file must still raise a diagnostic :class:`AsmError`.
 
-Any oracle violation is minimized with :mod:`repro.fuzz.shrink` (when a
-single-artifact predicate exists for it) and recorded as a
-:class:`Divergence` carrying the reproducer text.
+Any oracle violation is recorded as a :class:`Divergence` carrying the
+reproducer text: a generated program is first minimized with
+:mod:`repro.fuzz.shrink` (when a single-artifact predicate exists for it),
+and a replayed corpus case keeps its name and committed text.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from random import Random
 
 from repro.compiler import compile_module
 from repro.fuzz.corpus import (
+    Case,
     default_corpus_root,
     iter_cases,
     module_from_json,
@@ -150,15 +152,26 @@ class _Session:
         self.report.divergences.append(div)
         self.report.bump("divergences")
 
-    def _shrunk_asm(self, program, predicate) -> str:
-        if not self.opts.shrink:
-            return program_to_text(program)
-        return program_to_text(shrink_machine(program, predicate))
+    def _diverge(self, origin, artifact, predicate, **fields) -> None:
+        """Record an oracle violation found on *artifact* (a program or,
+        at ``level="ir"``, a module).
 
-    def _shrunk_ir(self, module, predicate) -> str:
-        if not self.opts.shrink:
-            return module_to_json(module)
-        return module_to_json(shrink_module(module, predicate))
+        *origin* is the generator seed the artifact came from, whose
+        reproducer is the artifact, shrunk under *predicate* when shrinking
+        is on; or the corpus
+        :class:`Case` it was loaded from, whose reproducer is the case text
+        as committed.
+        """
+        if isinstance(origin, Case):
+            fields.update(case_name=origin.name, reproducer=origin.text)
+        else:
+            asm = fields["level"] == "asm"
+            if self.opts.shrink:
+                shrink = shrink_machine if asm else shrink_module
+                artifact = shrink(artifact, predicate)
+            text = program_to_text if asm else module_to_json
+            fields.update(seed=origin, reproducer=text(artifact))
+        self._record(Divergence(**fields))
 
     # -- asm level ------------------------------------------------------------
 
@@ -181,51 +194,45 @@ class _Session:
         self._check_batched(program, seed)
         self._check_opt_parity(program, seed)
 
-    def _check_opt_parity(self, program, seed) -> None:
+    def _check_opt_parity(self, program, origin) -> None:
         self.report.bump("opt_runs")
         problem = opt_parity(program)
         if problem is None:
             return
         predicate = lambda p: opt_parity(p) is not None  # noqa: E731
-        self._record(Divergence(
-            oracle="opt-parity", detail=problem, level="asm", seed=seed,
-            config="gang-of-9",
-            reproducer=self._shrunk_asm(program, predicate)))
+        self._diverge(origin, program, predicate, oracle="opt-parity",
+                      detail=problem, level="asm", config="gang-of-9")
 
-    def _check_batched(self, program, seed) -> None:
+    def _check_batched(self, program, origin) -> None:
         self.report.bump("gang_runs")
         problem = batched_parity(program)
         if problem is None:
             return
         predicate = lambda p: batched_parity(p) is not None  # noqa: E731
-        self._record(Divergence(
-            oracle="batched-parity", detail=problem, level="asm", seed=seed,
-            config="gang-of-9",
-            reproducer=self._shrunk_asm(program, predicate)))
+        self._diverge(origin, program, predicate, oracle="batched-parity",
+                      detail=problem, level="asm", config="gang-of-9")
 
-    def _check_resume(self, program, config, seed) -> None:
+    def _check_resume(self, program, config, origin) -> None:
         self.report.bump("resume_runs")
         problem = resume_parity(program, config)
         if problem is None:
             return
         predicate = lambda p: resume_parity(p, config) is not None  # noqa: E731
-        self._record(Divergence(
-            oracle="resume-parity", detail=problem, level="asm", seed=seed,
-            config=_config_tag(config),
-            reproducer=self._shrunk_asm(program, predicate)))
+        self._diverge(origin, program, predicate, oracle="resume-parity",
+                      detail=problem, level="asm",
+                      config=_config_tag(config))
 
-    def _check_tier(self, program, config, seed, tier_seed) -> None:
+    def _check_tier(self, program, config, origin, tier_seed) -> None:
         self.report.bump("tier_runs")
         problem = tier_parity(program, config, tier_seed)
         if problem is None:
             return
         predicate = lambda p: tier_parity(p, config, tier_seed) is not None  # noqa: E731
-        self._record(Divergence(
-            oracle="tier-parity", detail=problem, level="asm", seed=seed,
-            config=_config_tag(config),
-            reproducer=self._shrunk_asm(program, predicate)))
+        self._diverge(origin, program, predicate, oracle="tier-parity",
+                      detail=problem, level="asm",
+                      config=_config_tag(config))
 
-    def _check_asm_parity(self, program, config, seed, *,
+    def _check_asm_parity(self, program, config, origin, *,
                           mutation: str = "", tag: str = "") -> bool:
         self.report.bump("sim_runs")
         problem, used_fast = sim_parity(program, config)
@@ -233,23 +240,21 @@ class _Session:
         if problem is None:
             return True
         predicate = lambda p: sim_parity(p, config)[0] is not None  # noqa: E731
-        self._record(Divergence(
-            oracle="sim-parity", detail=problem, level="asm", seed=seed,
-            config=tag or _config_tag(config), mutation=mutation,
-            reproducer=self._shrunk_asm(program, predicate)))
+        self._diverge(origin, program, predicate, oracle="sim-parity",
+                      detail=problem, level="asm",
+                      config=tag or _config_tag(config), mutation=mutation)
         return False
 
-    def _check_soundness(self, program, config, seed, *,
+    def _check_soundness(self, program, config, origin, *,
                          mutation: str = "") -> None:
         self.report.bump("soundness_runs")
         problem = checker_soundness(program, config)
         if problem is None:
             return
         predicate = lambda p: checker_soundness(p, config) is not None  # noqa: E731
-        self._record(Divergence(
-            oracle="checker-soundness", detail=problem, level="asm",
-            seed=seed, config=_config_tag(config), mutation=mutation,
-            reproducer=self._shrunk_asm(program, predicate)))
+        self._diverge(origin, program, predicate, oracle="checker-soundness",
+                      detail=problem, level="asm",
+                      config=_config_tag(config), mutation=mutation)
 
     def _run_mutants(self, gen, diagonal, seed: int) -> None:
         rng = Random(seed + 7 * _SEED_STRIDE)
@@ -292,7 +297,7 @@ class _Session:
         det_cfg = fuzz_configs(widths=(width,), models=(FUZZ_MODELS[1],))[0]
         self._check_determinism(module, det_cfg, seed)
 
-    def _check_interp_parity(self, module, seed) -> None:
+    def _check_interp_parity(self, module, origin) -> None:
         self.report.bump("interp_runs")
         problem, used_fast = interp_parity(module)
         self.report.bump("interp_fastpath" if used_fast
@@ -300,11 +305,10 @@ class _Session:
         if problem is None:
             return
         predicate = lambda m: interp_parity(m)[0] is not None  # noqa: E731
-        self._record(Divergence(
-            oracle="interp-parity", detail=problem, level="ir", seed=seed,
-            reproducer=self._shrunk_ir(module, predicate)))
+        self._diverge(origin, module, predicate, oracle="interp-parity",
+                      detail=problem, level="ir")
 
-    def _compile_and_check(self, module, config, seed) -> None:
+    def _compile_and_check(self, module, config, origin) -> None:
         self.report.bump("compiles")
         try:
             out = compile_module(module, config)
@@ -316,11 +320,9 @@ class _Session:
                     return True
                 return False
 
-            self._record(Divergence(
-                oracle="compile-crash",
-                detail=f"{type(exc).__name__}: {exc}", level="ir",
-                seed=seed, config=_config_tag(config),
-                reproducer=self._shrunk_ir(module, predicate)))
+            self._diverge(origin, module, predicate, oracle="compile-crash",
+                          detail=f"{type(exc).__name__}: {exc}", level="ir",
+                          config=_config_tag(config))
             return
         self.report.bump("sim_runs")
         problem, used_fast = sim_parity(out.program, config)
@@ -330,10 +332,9 @@ class _Session:
                 compiled = compile_module(m, config)
                 return sim_parity(compiled.program, config)[0] is not None
 
-            self._record(Divergence(
-                oracle="sim-parity", detail=problem, level="ir", seed=seed,
-                config=_config_tag(config),
-                reproducer=self._shrunk_ir(module, predicate)))
+            self._diverge(origin, module, predicate, oracle="sim-parity",
+                          detail=problem, level="ir",
+                          config=_config_tag(config))
         self.report.bump("soundness_runs")
         problem = checker_soundness(out.program, config)
         if problem is not None:
@@ -342,10 +343,9 @@ class _Session:
                 return checker_soundness(compiled.program,
                                          config) is not None
 
-            self._record(Divergence(
-                oracle="checker-soundness", detail=problem, level="ir",
-                seed=seed, config=_config_tag(config),
-                reproducer=self._shrunk_ir(module, predicate)))
+            self._diverge(origin, module, predicate,
+                          oracle="checker-soundness", detail=problem,
+                          level="ir", config=_config_tag(config))
 
     def _check_determinism(self, module, config, seed) -> None:
         self.report.bump("determinism_runs")
@@ -353,10 +353,8 @@ class _Session:
         if problem is None:
             return
         predicate = lambda m: compile_determinism(m, config) is not None  # noqa: E731
-        self._record(Divergence(
-            oracle="compile-determinism", detail=problem, level="ir",
-            seed=seed, config=_config_tag(config),
-            reproducer=self._shrunk_ir(module, predicate)))
+        self._diverge(seed, module, predicate, oracle="compile-determinism",
+                      detail=problem, level="ir", config=_config_tag(config))
 
     # -- corpus replay --------------------------------------------------------
 
@@ -396,50 +394,13 @@ class _Session:
                 detail=f"failed to parse: {type(exc).__name__}: {exc}",
                 level="asm", case_name=case.name, reproducer=case.text))
             return
-        configs = _diagonal_configs(fuzz_configs())
-        for config in configs:
-            self.report.bump("sim_runs")
-            problem, used_fast = sim_parity(program, config)
-            self.report.bump("fastpath_runs" if used_fast
-                             else "fallback_runs")
-            if problem is not None:
-                self._record(Divergence(
-                    oracle="sim-parity", detail=problem, level="asm",
-                    case_name=case.name, config=_config_tag(config),
-                    reproducer=case.text))
-            problem = checker_soundness(program, config)
-            if problem is not None:
-                self._record(Divergence(
-                    oracle="checker-soundness", detail=problem,
-                    level="asm", case_name=case.name,
-                    config=_config_tag(config), reproducer=case.text))
-            problem = resume_parity(program, config)
-            if problem is not None:
-                self._record(Divergence(
-                    oracle="resume-parity", detail=problem, level="asm",
-                    case_name=case.name, config=_config_tag(config),
-                    reproducer=case.text))
-            self.report.bump("tier_runs")
-            problem = tier_parity(program, config)
-            if problem is not None:
-                self._record(Divergence(
-                    oracle="tier-parity", detail=problem, level="asm",
-                    case_name=case.name, config=_config_tag(config),
-                    reproducer=case.text))
-        self.report.bump("gang_runs")
-        problem = batched_parity(program)
-        if problem is not None:
-            self._record(Divergence(
-                oracle="batched-parity", detail=problem, level="asm",
-                case_name=case.name, config="gang-of-9",
-                reproducer=case.text))
-        self.report.bump("opt_runs")
-        problem = opt_parity(program)
-        if problem is not None:
-            self._record(Divergence(
-                oracle="opt-parity", detail=problem, level="asm",
-                case_name=case.name, config="gang-of-9",
-                reproducer=case.text))
+        for config in _diagonal_configs(fuzz_configs()):
+            self._check_asm_parity(program, config, case)
+            self._check_soundness(program, config, case)
+            self._check_resume(program, config, case)
+            self._check_tier(program, config, case, 0)
+        self._check_batched(program, case)
+        self._check_opt_parity(program, case)
 
     def _replay_ir(self, case) -> None:
         try:
@@ -450,14 +411,9 @@ class _Session:
                 detail=f"failed to load: {type(exc).__name__}: {exc}",
                 level="ir", case_name=case.name))
             return
-        problem, _ = interp_parity(module)
-        self.report.bump("interp_runs")
-        if problem is not None:
-            self._record(Divergence(
-                oracle="interp-parity", detail=problem, level="ir",
-                case_name=case.name, reproducer=case.text))
+        self._check_interp_parity(module, case)
         config = fuzz_configs(widths=(2,), models=(FUZZ_MODELS[1],))[0]
-        self._compile_and_check(module, config, case.name and 0)
+        self._compile_and_check(module, config, case)
 
     # -- driving --------------------------------------------------------------
 

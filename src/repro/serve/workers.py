@@ -212,9 +212,8 @@ def _job_sweep(job_id: str, payload: dict) -> dict:
     fig_fn = ALL_FIGURES[payload["figure"]]
 
     # Prewarm the figure's experiments through the sweep executor (serial
-    # inside this worker process; under engine=batched each compile group
-    # simulates as one lockstep gang), emitting one progress event per
-    # experiment — gang slots included, each reports as it lands.
+    # inside this worker process), emitting one progress event per
+    # experiment as it lands.
     def report(done: int, total: int, result) -> None:
         _put({"job": job_id, "stream": "sweep", "type": "progress",
               "benchmark": result.job.benchmark, "done": done,

@@ -30,11 +30,11 @@ VALID_ISSUE_WIDTHS = (1, 2, 4, 8)
 #: Environment variable consulted when no explicit engine is requested.
 ENGINE_ENV = "REPRO_ENGINE"
 
-#: Recognised execution engines: the specializing fast path (default), the
-#: straight-line reference interpreter in :mod:`repro.sim.core`, and the
-#: gang simulator in :mod:`repro.sim.batched` (a single-config gang when
-#: selected through :func:`repro.sim.simulate`; sweeps use full gangs).
-VALID_ENGINES = ("fast", "reference", "batched")
+#: Recognised execution engines: the specializing fast path (default) and
+#: the straight-line reference interpreter in :mod:`repro.sim.core`.  The
+#: gang simulator in :mod:`repro.sim.batched` is not an engine choice; it is
+#: the library call :func:`repro.sim.simulate_gang`.
+VALID_ENGINES = ("fast", "reference")
 
 
 def resolve_engine(engine: str | None = None) -> str:

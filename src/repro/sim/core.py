@@ -709,9 +709,7 @@ def simulate(program: MachineProgram, config: MachineConfig,
     each block is generated and compiled at its
     :data:`~repro.sim.fastpath.HOT_ENTRIES`-th entry, then runs as
     specialized code from there on, bit-exact with the reference; see
-    :mod:`repro.sim.fastpath`), ``"batched"`` (the gang simulator in
-    :mod:`repro.sim.batched`, run as a gang of one), or ``"reference"``.
-    ``None`` defers to the ``REPRO_ENGINE`` environment variable and
+    :mod:`repro.sim.fastpath`) or ``"reference"``.  ``None`` defers to the ``REPRO_ENGINE`` environment variable and
     defaults to the fast engine.
     """
     from repro.sim.config import resolve_engine
@@ -721,11 +719,4 @@ def simulate(program: MachineProgram, config: MachineConfig,
         from repro.sim.fastpath import HOT_ENTRIES, FastSimulator
 
         return FastSimulator(program, config, threshold=HOT_ENTRIES).run()
-    if resolved == "batched":
-        from repro.sim.batched import simulate_gang
-
-        outcome = simulate_gang(program, [config])[0]
-        if outcome.error is not None:
-            raise outcome.error
-        return outcome.result
     return Simulator(program, config).run()

@@ -23,11 +23,9 @@ from repro.sim import (
     Simulator,
     assemble,
     paper_machine,
-    simulate,
     simulate_gang,
 )
 from repro.sim import fastpath
-from repro.sim.config import VALID_ENGINES
 from repro.workloads import ALL_BENCHMARKS, build_workload, workload
 
 GANG_MODELS = tuple(RCModel)
@@ -249,30 +247,9 @@ class TestRetirement:
 
 
 class TestDispatch:
-    def test_valid_engines_includes_batched(self):
-        assert "batched" in VALID_ENGINES
-
-    def test_simulate_engine_batched(self):
-        name = ALL_BENCHMARKS[0]
-        program = _program(name)
-        cfg = paper_machine(issue_width=2, rc_class=_rc_class(name))
-        batched = simulate(program, cfg, engine="batched")
-        fast = simulate(program, cfg, engine="fast")
-        assert batched.stats == fast.stats
-        assert batched.state.memory == fast.state.memory
-
-    def test_simulate_engine_batched_raises_slot_error(self):
-        name = ALL_BENCHMARKS[0]
-        cfg = dataclasses.replace(
-            paper_machine(issue_width=1, rc_class=_rc_class(name)),
-            max_cycles=50)
-        with pytest.raises(CycleBudgetError):
-            simulate(_program(name), cfg, engine="batched")
-
     def test_leaders_reuse_the_fast_engine_module(self):
         """A class leader runs the module its config's fast run generated:
-        neither a one-class gang nor ``simulate(engine="batched")`` adds a
-        code-cache entry."""
+        a one-class gang adds no code-cache entry."""
         name = ALL_BENCHMARKS[0]
         # A private copy, so no earlier test has filled its cache entry.
         program = copy.deepcopy(_program(name))
@@ -283,41 +260,8 @@ class TestDispatch:
         gang = [cfg, dataclasses.replace(cfg, issue_width=2)]
         assert all(o.error is None for o in simulate_gang(program, gang))
         assert set(modules) == {repr(cfg)}
-        simulate(program, cfg, engine="batched")
-        assert set(modules) == {repr(cfg)}
 
     def test_empty_gang_rejected(self):
         name = ALL_BENCHMARKS[0]
         with pytest.raises(ConfigError, match="at least one config"):
             simulate_gang(_program(name), [])
-
-
-def test_run_gang_matches_run(tmp_path):
-    """ExperimentRunner.run_gang stores records identical to run()."""
-    from repro.experiments import ExperimentRunner
-
-    name = ALL_BENCHMARKS[0]
-    configs = [paper_machine(issue_width=4, rc_class=_rc_class(name),
-                             extra_decode_stage=e) for e in (False, True)]
-    gang_runner = ExperimentRunner(cache_dir=tmp_path / "gang",
-                                   engine="batched")
-    outcomes = gang_runner.run_gang(name, configs)
-    ref_runner = ExperimentRunner(cache_dir=tmp_path / "ref", engine="fast")
-    for cfg, (record, error) in zip(configs, outcomes):
-        assert error is None
-        assert record == ref_runner.run(name, cfg)
-    # the gang populated the cache: a follow-up run() is a pure hit
-    before = gang_runner.cache_hits
-    gang_runner.run(name, configs[0])
-    assert gang_runner.cache_hits == before + 1
-
-
-def test_run_gang_rejects_mixed_compile_keys():
-    from repro.experiments import ExperimentRunner
-
-    name = ALL_BENCHMARKS[0]
-    runner = ExperimentRunner(engine="batched")
-    configs = [paper_machine(issue_width=w, rc_class=_rc_class(name))
-               for w in (1, 2)]
-    with pytest.raises(ValueError, match="compile keys"):
-        runner.run_gang(name, configs)

@@ -120,6 +120,12 @@ class TestSweep:
     def test_sweep_unknown_figure(self, capsys):
         assert main(["sweep", "figure99"]) == 2
 
+    def test_sweep_rejects_batched_engine(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "figure7", "--engine", "batched"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'batched'" in capsys.readouterr().err
+
 
 class TestTraceCommand:
     def test_trace_output(self, capsys):

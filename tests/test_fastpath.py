@@ -23,6 +23,7 @@ from repro.sim import (
     Simulator,
     assemble,
     paper_machine,
+    VALID_ENGINES,
     resolve_engine,
     simulate,
     unlimited_machine,
@@ -248,12 +249,18 @@ class TestEngineSelection:
         assert resolve_engine("fast") == "fast"
 
     def test_resolve_engine_rejects_unknown(self, monkeypatch):
-        monkeypatch.delenv(ENGINE_ENV, raising=False)
-        with pytest.raises(ConfigError, match="unknown engine"):
-            resolve_engine("bogus")
-        monkeypatch.setenv(ENGINE_ENV, "bogus")
-        with pytest.raises(ConfigError, match="unknown engine"):
-            resolve_engine()
+        # The gang simulator is the library call ``simulate_gang``, not a
+        # value of the engine option.
+        assert VALID_ENGINES == ("fast", "reference")
+        expected = ("unknown engine .*"
+                    + re.escape("expected one of ('fast', 'reference')"))
+        for engine in ("bogus", "batched"):
+            monkeypatch.delenv(ENGINE_ENV, raising=False)
+            with pytest.raises(ConfigError, match=expected):
+                resolve_engine(engine)
+            monkeypatch.setenv(ENGINE_ENV, engine)
+            with pytest.raises(ConfigError, match=expected):
+                resolve_engine()
 
     def test_simulate_engine_kwarg(self):
         module, out, cfg = _point(ALL_BENCHMARKS[0], 2, RCModel.NO_RESET)

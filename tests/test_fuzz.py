@@ -345,8 +345,38 @@ class TestRunner:
         # The checker-soundness oracle holds for this program (zero errors
         # never happens: the mutant has an RC001 error), so the session
         # records nothing — exactly the soundness contract.
-        session._check_soundness(gen, CONFIG, seed=0)
+        session._check_soundness(gen, CONFIG, 0)
         assert session.report.divergences == []
+
+    @pytest.mark.parametrize("level", ["asm", "ir"])
+    def test_replayed_case_keeps_its_name_and_text(self, level, tmp_path,
+                                                   monkeypatch):
+        """A corpus case that fails an oracle on replay is reported under
+        its case name, with no seed, and with its committed text as the
+        reproducer (never shrunk, though shrinking is on)."""
+        from repro.fuzz import runner
+        from repro.fuzz.corpus import load_case, save_asm_case, save_ir_case
+
+        regressions = tmp_path / "regressions"
+        if level == "asm":
+            path = save_asm_case(regressions, "planted",
+                                 gen_machine_program(0).program,
+                                 oracle="checker-soundness")
+        else:
+            path = save_ir_case(regressions, "planted", gen_module(0),
+                                oracle="checker-soundness")
+        case = load_case(path)
+        monkeypatch.setattr(runner, "checker_soundness",
+                            lambda program, config: "planted failure")
+        report = run_fuzz(FuzzOptions(budget=0, corpus=tmp_path))
+        assert report.counters["soundness_runs"] >= 1
+        found = [d for d in report.divergences
+                 if d.oracle == "checker-soundness"]
+        assert found, [d.to_dict() for d in report.divergences]
+        for div in found:
+            assert div.case_name == "planted"
+            assert div.seed is None
+            assert div.reproducer == case.text
 
     @pytest.mark.slow
     def test_cli_sweep(self, capsys):

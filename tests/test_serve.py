@@ -76,9 +76,11 @@ class TestWire:
             validate_payload("simulate", {"asm": "halt", "benchmark": "cmp"})
         with pytest.raises(BadRequest):
             validate_payload("simulate", {"benchmark": "nope"})
-        with pytest.raises(BadRequest):
-            validate_payload("simulate", {"benchmark": "cmp",
-                                          "engine": "turbo"})
+        for engine in ("turbo", "batched"):
+            with pytest.raises(BadRequest,
+                               match=r"expected fast\|reference$"):
+                validate_payload("simulate", {"benchmark": "cmp",
+                                              "engine": engine})
         with pytest.raises(BadRequest):
             validate_payload("sweep", {"figure": "nope"})
         with pytest.raises(BadRequest):
