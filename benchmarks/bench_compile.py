@@ -1,92 +1,66 @@
-"""Compile-pipeline speed benchmark: reference profiling interpreter vs the
+"""Compile-pipeline benchmark: reference profiling interpreter vs the
 specializing fast interpreter (:mod:`repro.ir.fastinterp`).
 
-Measures end-to-end :func:`~repro.compiler.compile_module` wall time for
-every benchmark at scale ``REPRO_SCALE`` (default 1) on the default paper
-machine, under two engine settings:
+Times :func:`~repro.compiler.compile_module` for every benchmark at
+``--scale`` on the default paper machine under
+``CompileOptions(ir_engine="reference")``, the tree-walking profiling
+interpreter, and ``ir_engine="fast"``, the default.  Each (benchmark,
+engine) point is compiled once cold, then ``--repeat`` more times; warm is
+the best of all.  Separate metrics compiles record the per-pass table
+(:class:`~repro.observe.passes.PassMetrics`) per engine, and on the 16/16
+RC machine of ``bench_connectopt.py`` at model 3, width 4, where the
+connect optimizer runs (``pass_seconds_rc``).
 
-* **reference** — ``CompileOptions(ir_engine="reference")``: the original
-  tree-walking profiling interpreter;
-* **fast** — ``CompileOptions(ir_engine="fast")``: the specializing
-  interpreter (the default).
-
-Methodology: each (benchmark, engine) point is compiled once cold, then
-``--repeat`` more times with best-of taken as the warm number.  A separate
-metrics compile per engine collects the per-pass breakdown (reusing
-:class:`~repro.observe.passes.PassMetrics`); it is never the timed run,
-since metrics compiles snapshot IR around every stage.  The default
-machine has no extended registers, so a third metrics compile targets the
-connect-optimizer benchmark's machine (16 integer / 16 FP core registers,
-RC on the benchmark's hot class, model 3) and records the per-pass table
-with the ``connect-opt`` stage.
-
-Three hard parity gates, checked on every benchmark on both machines:
-
-* the fast engine's :class:`~repro.ir.interp.Profile` equals the
-  reference engine's (block, branch, and call counts);
-* the emitted assembly (``format_listing``) is byte-identical between the
-  two engines;
-* the assembly :func:`~repro.compiler.compile_back` builds from one
-  :class:`~repro.compiler.FrontEnd` shared by both machines is
-  byte-identical to :func:`~repro.compiler.compile_module`'s.
+Three parity gates, on every benchmark on both machines: the fast engine's
+:class:`~repro.ir.interp.Profile` equals the reference engine's; the
+emitted assembly is byte-identical between the engines; and the assembly
+:func:`~repro.compiler.compile_back` builds from one shared
+:class:`~repro.compiler.FrontEnd` is byte-identical to
+:func:`~repro.compiler.compile_module`'s.  Timings are informational.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_compile.py [-o BENCH_compile.json]
-
-Exits non-zero on any parity mismatch.  Speedup numbers are informational
-(CI uploads them as an artifact); parity is the gate.
+    python benchmarks/bench_compile.py [-o BENCH_compile.json] [--repeat N]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import os
-import platform
 import sys
-import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import harness
+from repro.compiler import (CompileOptions, compile_back, compile_front,
+                            compile_module)
+from repro.isa.asmfmt import format_listing
+from repro.observe import PassMetrics
+from repro.sim import MachineConfig
+from repro.workloads import ALL_BENCHMARKS, build_workload, workload
 
-from bench_connectopt import _config as _connectopt_config  # noqa: E402
-from repro.compiler import (CompileOptions, compile_back,  # noqa: E402
-                            compile_front, compile_module)
-from repro.isa.asmfmt import format_listing  # noqa: E402
-from repro.observe import PassMetrics  # noqa: E402
-from repro.sim import MachineConfig  # noqa: E402
-from repro.workloads import (ALL_BENCHMARKS, build_workload,  # noqa: E402
-                             workload)
-
-
-def _rc_config(name: str) -> MachineConfig:
-    """The connect-optimizer benchmark's machine for *name*: model 3 at
-    the paper machine's default issue width."""
-    return _connectopt_config(workload(name).kind, model=3, width=4)
+ENGINES = {"ref": "reference", "fast": "fast"}
 
 
 def _options(engine: str) -> CompileOptions:
     return CompileOptions(ir_engine=engine)
 
 
-def _time_compile(module, config, engine: str, repeat: int) -> tuple[float, float]:
-    """(cold_seconds, warm_seconds) for one benchmark under one engine."""
-    t0 = time.perf_counter()
-    compile_module(module, config, _options(engine))
-    cold = time.perf_counter() - t0
-    warm = cold
-    for _ in range(repeat):
-        t0 = time.perf_counter()
-        compile_module(module, config, _options(engine))
-        warm = min(warm, time.perf_counter() - t0)
-    return cold, warm
+def _time_compile(module, config, engine: str, repeat: int) -> dict:
+    """Cold and warm (best-of) compile seconds for one engine."""
+    def run():
+        compile_module(module, config, _options(ENGINES[engine]))
+    cold = harness.once(run)[1]
+    return {**harness.fields(f"{engine}_cold", cold),
+            **harness.fields(f"{engine}_warm",
+                             min(cold, harness.best(run, repeat)))}
 
 
 def _pass_rows(module, config, engine: str) -> list[dict]:
+    """Per-pass rows of one metrics compile, in host and reference
+    seconds (host seconds scaled by the compile's own factor)."""
     metrics = PassMetrics()
-    compile_module(module, config, _options(engine), metrics=metrics)
-    return metrics.to_rows()
+    timing = harness.once(lambda: compile_module(
+        module, config, _options(engine), metrics=metrics))[1]
+    factor = timing.ref / timing.host
+    return [{**row, "seconds": row["seconds"] * factor,
+             "host_seconds": row["seconds"]} for row in metrics.to_rows()]
 
 
 def _parity(where: str, module, config, front) -> tuple[list[str], int]:
@@ -113,107 +87,74 @@ def _parity(where: str, module, config, front) -> tuple[list[str], int]:
 def bench_benchmark(name: str, scale: int, repeat: int) -> tuple[dict, list]:
     module = build_workload(name, scale=scale)
     config = MachineConfig()
-    rc_config = _rc_config(name)
+    rc_config = harness.core_machine(workload(name).kind)
     front = compile_front(module, _options("fast"))
     problems, instructions = _parity(name, module, config, front)
     problems += _parity(f"{name} (RC machine)", module, rc_config, front)[0]
-
-    ref_cold, ref_warm = _time_compile(module, config, "reference", repeat)
-    fast_cold, fast_warm = _time_compile(module, config, "fast", repeat)
-
     point = {
         "benchmark": name,
         "functions": len(module.functions),
         "instructions": instructions,
-        "ref_cold_seconds": ref_cold,
-        "ref_warm_seconds": ref_warm,
-        "fast_cold_seconds": fast_cold,
-        "fast_warm_seconds": fast_warm,
-        "speedup_cold": ref_cold / fast_cold,
-        "speedup_warm": ref_warm / fast_warm,
+        **_time_compile(module, config, "ref", repeat),
+        **_time_compile(module, config, "fast", repeat),
         "passes_reference": _pass_rows(module, config, "reference"),
         "passes_fast": _pass_rows(module, config, "fast"),
         "passes_rc": _pass_rows(module, rc_config, "fast"),
     }
-    return point, problems
+    return _with_speedups(point), problems
 
 
-def _aggregate_passes(points: list[dict], key: str) -> dict[str, float]:
+def _with_speedups(times: dict) -> dict:
+    for temp in ("cold", "warm"):
+        times[f"speedup_{temp}"] = (times[f"ref_{temp}_seconds"]
+                                    / times[f"fast_{temp}_seconds"])
+    return times
+
+
+def _aggregate_passes(points: list[dict], key: str, unit: str) -> dict:
     """Summed per-pass seconds across all benchmarks for one engine."""
     totals: dict[str, float] = {}
     for point in points:
         for row in point[key]:
-            totals[row["pass"]] = totals.get(row["pass"], 0.0) + row["seconds"]
+            totals[row["pass"]] = totals.get(row["pass"], 0.0) + row[unit]
     return totals
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-o", "--output", default=None,
-                        help="write the JSON report here "
-                             "(default: stdout only)")
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="timed repetitions per engine (best-of)")
-    parser.add_argument("--scale", type=int,
-                        default=int(os.environ.get("REPRO_SCALE", "1")))
-    args = parser.parse_args(argv)
+def table(report: dict) -> tuple[list, list]:
+    passes = {engine: report[f"pass_seconds_{engine}"]
+              for engine in ("reference", "fast", "rc")}
+    rows = [[f"compile, {temp}", f"{report[f'ref_{temp}_seconds']:.3f}",
+             f"{report[f'fast_{temp}_seconds']:.3f}",
+             f"{report[f'speedup_{temp}']:.2f}x"] for temp in ("warm", "cold")]
+    for stage in ("profile", "optimize"):
+        ref, fast = passes["reference"][stage], passes["fast"][stage]
+        rows.append([f"{stage} pass", f"{ref:.3f}", f"{fast:.3f}",
+                     f"{ref / fast:.2f}x"])
+    rows.append(["connect-opt pass, RC machine", "",
+                 f"{passes['rc']['connect-opt']:.3f}", ""])
+    return ([f"{len(report['points'])} benchmarks (reference s)",
+             "reference IR engine", "fast IR engine", "speedup"], rows)
 
+
+def main(argv=None) -> int:
+    args = harness.parse_args(__doc__, argv, "repeat", "scale")
     points, problems = [], []
     for name in ALL_BENCHMARKS:
         point, probs = bench_benchmark(name, args.scale, args.repeat)
         points.append(point)
         problems.extend(probs)
-
-    ref_cold = sum(p["ref_cold_seconds"] for p in points)
-    ref_warm = sum(p["ref_warm_seconds"] for p in points)
-    fast_cold = sum(p["fast_cold_seconds"] for p in points)
-    fast_warm = sum(p["fast_warm_seconds"] for p in points)
-    report = {
-        "scale": args.scale,
-        "repeat": args.repeat,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "parity_failures": problems,
-        "ref_cold_seconds": ref_cold,
-        "ref_warm_seconds": ref_warm,
-        "fast_cold_seconds": fast_cold,
-        "fast_warm_seconds": fast_warm,
-        "speedup_cold": ref_cold / fast_cold,
-        "speedup_warm": ref_warm / fast_warm,
-        "pass_seconds_reference": _aggregate_passes(points,
-                                                    "passes_reference"),
-        "pass_seconds_fast": _aggregate_passes(points, "passes_fast"),
-        "pass_seconds_rc": _aggregate_passes(points, "passes_rc"),
-        "points": points,
-    }
-    text = json.dumps(report, indent=2)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-
-    print(f"compile set ({len(points)} benchmarks, scale {args.scale}): "
-          f"ref {ref_warm:.3f}s warm / {ref_cold:.3f}s cold, "
-          f"fast {fast_warm:.3f}s warm / {fast_cold:.3f}s cold "
-          f"-> {report['speedup_warm']:.2f}x warm, "
-          f"{report['speedup_cold']:.2f}x cold")
-    slowest = max(points, key=lambda p: p["ref_warm_seconds"])
-    print(f"slowest     {slowest['benchmark']}: "
-          f"ref {slowest['ref_warm_seconds']:.3f}s, "
-          f"fast {slowest['fast_warm_seconds']:.3f}s "
-          f"({slowest['speedup_warm']:.2f}x)")
-    for key, label in (("reference", "reference"), ("fast", "fast"),
-                       ("rc", "fast, RC machine")):
-        rows = report[f"pass_seconds_{key}"]
-        top = sorted(rows.items(), key=lambda kv: -kv[1])[:4]
-        shown = ", ".join(f"{name} {secs * 1e3:.0f}ms" for name, secs in top)
-        print(f"passes ({label}): {shown}")
-    if problems:
-        print(f"PARITY FAILURES ({len(problems)}):", file=sys.stderr)
-        for p in problems:
-            print(f"  {p}", file=sys.stderr)
-        return 1
-    print("parity: OK (profiles equal, assembly byte-identical across "
-          "engines and from a shared front end, default and RC machines)")
-    return 0
+    body = _with_speedups(harness.totals(points, "ref_cold", "ref_warm",
+                                         "fast_cold", "fast_warm"))
+    for key in ("reference", "fast", "rc"):
+        for unit, prefix in (("seconds", "pass_seconds"),
+                             ("host_seconds", "pass_host_seconds")):
+            body[f"{prefix}_{key}"] = _aggregate_passes(points,
+                                                        f"passes_{key}", unit)
+    body["points"] = points
+    return harness.finish(
+        args, body, problems, table,
+        "parity: OK (profiles equal, assembly byte-identical across engines "
+        "and from a shared front end, default and RC machines)")
 
 
 if __name__ == "__main__":

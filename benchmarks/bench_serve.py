@@ -9,37 +9,28 @@ concurrency level runs the *same* job set twice:
   pool (identical concurrent submissions coalesce onto one computation);
 * **warm** — every job is a content-addressed artifact hit.
 
-Per phase it records wall-clock jobs/sec and per-job latency p50/p99.
-The acceptance gates from the issue: the 64-client mixed workload must
-complete with **zero failed jobs**, and warm throughput must be at least
-**2x** cold throughput (the artifact cache earning its keep).
+Per phase it records jobs/sec and per-job latency p50/p99.  Gates: the
+64-client mixed workload completes with **zero failed jobs**, and warm
+throughput is at least **2x** cold throughput (the artifact cache earning
+its keep).  ``--smoke`` runs 1 and 4 clients with fewer jobs; the
+zero-failures gate still applies, the 2x gate is informational (tiny
+workloads under-amortize the HTTP overhead).
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_serve.py [-o BENCH_serve.json]
-    PYTHONPATH=src python benchmarks/bench_serve.py --smoke   # CI-sized
-
-``--smoke`` shrinks the concurrency levels and job counts for CI; the
-zero-failures gate still applies, the 2x gate becomes informational
-(tiny workloads under-amortize the HTTP overhead).
+    python benchmarks/bench_serve.py [-o BENCH_serve.json] [--jobs N] [--smoke]
 """
 
 from __future__ import annotations
 
-import argparse
-import json
-import platform
 import statistics
 import sys
 import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.experiments.executor import default_jobs  # noqa: E402
-from repro.serve import ServeClient, start_in_thread  # noqa: E402
+import harness
+from repro.serve import ServeClient, start_in_thread
 
 BENCHMARKS = ("cmp", "grep", "compress", "lex")
 
@@ -79,9 +70,10 @@ def client_jobs(level: int, client: int, asm_slots: int) -> list[tuple]:
     return jobs
 
 
-def run_phase(url: str, level: int, clients: int,
-              asm_slots: int) -> dict:
-    """One pass of the mixed workload; returns throughput + latency."""
+def run_phase(url: str, level: int, asm_slots: int) -> dict:
+    """One pass of the mixed workload from *level* clients: throughput,
+    latency and failures, latencies scaled to reference time by the
+    phase's own factor."""
     latencies: list[float] = []
     failures: list[dict] = []
 
@@ -94,93 +86,62 @@ def run_phase(url: str, level: int, clients: int,
             if job["status"] != "done":
                 failures.append(job)
 
-    wall = time.perf_counter()
-    with ThreadPoolExecutor(max_workers=clients) as pool:
-        list(pool.map(one_client, range(clients)))
-    wall = time.perf_counter() - wall
+    with ThreadPoolExecutor(max_workers=level) as pool:
+        wall = harness.once(lambda: list(pool.map(one_client,
+                                                  range(level))))[1]
+    cuts = statistics.quantiles(latencies, n=100)
+    p50_ms, p99_ms = 1e3 * cuts[49], 1e3 * cuts[98]
+    factor = wall.ref / wall.host
+    return {"jobs": len(latencies), "failed": len(failures),
+            "failures": [j.get("error") for j in failures][:5],
+            **harness.fields("wall", wall),
+            "jobs_per_sec": len(latencies) / wall.ref,
+            "p50_ms": p50_ms * factor, "p99_ms": p99_ms * factor,
+            "host_jobs_per_sec": len(latencies) / wall.host,
+            "host_p50_ms": p50_ms, "host_p99_ms": p99_ms}
 
-    latencies.sort()
-    return {
-        "jobs": len(latencies),
-        "failed": len(failures),
-        "failures": [j.get("error") for j in failures][:5],
-        "wall_seconds": round(wall, 4),
-        "jobs_per_sec": round(len(latencies) / wall, 2),
-        "p50_ms": round(1e3 * statistics.quantiles(
-            latencies, n=100)[49], 3),
-        "p99_ms": round(1e3 * statistics.quantiles(
-            latencies, n=100)[98], 3),
-    }
+
+def table(report: dict) -> tuple[list, list]:
+    rows = [[r["clients"], *(f"{r[temp][key]:.1f}" for temp in ("cold", "warm")
+                             for key in ("jobs_per_sec", "p50_ms", "p99_ms")),
+             f"{r['warm_speedup']:.2f}x"] for r in report["levels"]]
+    return (["clients", "cold jobs/s", "cold p50 ms", "cold p99 ms",
+             "warm jobs/s", "warm p50 ms", "warm p99 ms", "warm/cold"], rows)
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-o", "--output", default="BENCH_serve.json")
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="server worker processes "
-                             "(default REPRO_JOBS or CPU count)")
-    parser.add_argument("--smoke", action="store_true",
-                        help="CI-sized run: fewer clients and jobs; the "
-                             "2x warm gate becomes informational")
-    args = parser.parse_args(argv)
-
+    args = harness.parse_args(__doc__, argv, "jobs", "smoke")
     levels = (1, 4) if args.smoke else (1, 8, 64)
     asm_slots = 1 if args.smoke else 2
-    workers = args.jobs if args.jobs is not None else default_jobs()
-
     with tempfile.TemporaryDirectory(prefix="bench_serve_") as artifacts:
-        handle = start_in_thread(jobs=workers, artifact_dir=artifacts)
+        handle = start_in_thread(jobs=args.jobs, artifact_dir=artifacts)
         try:
             results = []
             for level in levels:
-                cold = run_phase(handle.url, level, level, asm_slots)
-                warm = run_phase(handle.url, level, level, asm_slots)
-                speedup = (warm["jobs_per_sec"] / cold["jobs_per_sec"]
-                           if cold["jobs_per_sec"] else 0.0)
-                results.append({"clients": level, "cold": cold,
-                                "warm": warm,
-                                "warm_speedup": round(speedup, 2)})
-                print(f"{level:3d} clients: cold "
-                      f"{cold['jobs_per_sec']:8.1f} jobs/s "
-                      f"(p50 {cold['p50_ms']:.1f}ms, "
-                      f"p99 {cold['p99_ms']:.1f}ms)  warm "
-                      f"{warm['jobs_per_sec']:8.1f} jobs/s "
-                      f"(p50 {warm['p50_ms']:.1f}ms, "
-                      f"p99 {warm['p99_ms']:.1f}ms)  "
-                      f"speedup {speedup:.1f}x", file=sys.stderr)
+                cold = run_phase(handle.url, level, asm_slots)
+                warm = run_phase(handle.url, level, asm_slots)
+                results.append({"clients": level, "cold": cold, "warm": warm,
+                                "warm_speedup": warm["jobs_per_sec"]
+                                / cold["jobs_per_sec"]})
             stats = ServeClient(handle.url).stats()
         finally:
             handle.stop()
 
-    failed = sum(r["cold"]["failed"] + r["warm"]["failed"] for r in results)
+    problems = [f"{r['clients']} clients, {temp}: {r[temp]['failed']} "
+                f"failed jobs: {r[temp]['failures']}"
+                for r in results for temp in ("cold", "warm")
+                if r[temp]["failed"]]
     top = results[-1]
-    gates = {
-        "zero_failed_jobs": failed == 0,
-        "warm_speedup_2x": top["warm_speedup"] >= 2.0,
-    }
-    ok = gates["zero_failed_jobs"] and (args.smoke
-                                        or gates["warm_speedup_2x"])
-    payload = {
-        "smoke": args.smoke,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "workers": workers,
-        "levels": results,
-        "server_stats": {"jobs": stats["jobs"],
-                         "artifacts": stats["artifacts"],
-                         "runner_cache": stats["runner_cache"]},
-        "gates": gates,
-        "ok": ok,
-    }
-    with open(args.output, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-    print(f"wrote {args.output}: "
-          f"{'ok' if ok else 'FAIL'} ({failed} failed jobs, "
-          f"top-level warm speedup {top['warm_speedup']}x)",
-          file=sys.stderr)
-    return 0 if ok else 1
+    if not args.smoke and top["warm_speedup"] < 2.0:
+        problems.append(f"{top['clients']} clients: warm throughput only "
+                        f"{top['warm_speedup']:.2f}x cold (gate 2x)")
+    body = {"levels": results,
+            "server_stats": {key: stats[key] for key in
+                             ("jobs", "artifacts", "runner_cache")}}
+    return harness.finish(args, body, problems, table,
+                          "gates: OK (zero failed jobs"
+                          + (")" if args.smoke else ", warm >= 2x cold)"))
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    sys.exit(main())

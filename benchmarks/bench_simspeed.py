@@ -1,95 +1,64 @@
 """Simulation-speed benchmark: reference engine vs the specializing fast
 engine (:mod:`repro.sim.fastpath`).
 
-Measures instructions/second for both engines over
+Sections:
 
-* the **fig07 set**: every benchmark at scale ``REPRO_SCALE`` (default 1)
-  on the unlimited-register machine at issue rates 1/2/4/8 — the exact
-  sweep behind Figure 7; and
-* a **microbenchmark**: a tight straight-line arithmetic loop, one
-  self-loop block with unmapped operands that iterates inside its
-  generated function for 50,000 passes; and
-* the **codegen** section: the fast engine's code-generation layer on the
-  12 benchmarks at issue rate 4 with 16 int / 16 FP core registers, without
-  RC and with RC (the default model 3, on the benchmark's own file):
-  generated-source lines and the seconds of generating every block
-  (``_Codegen.block``) and of CPython's ``compile()`` of each.  Both
-  points, and a parity-only third one with RC at connect latency 1, are
-  compared engine against engine; and
-* the **tier** section: the policy of ``simulate()``, which compiles a
-  block at its ``HOT_ENTRIES``-th entry.  Two groups, one config per
-  program: 80 ``gen_machine_program`` programs (seeds 2000-2079, each on
-  one ``fuzz_configs`` config with the job service's 50,000-cycle fuzz
-  budget; its short traffic) and the 12 fig07 benchmarks on the
-  unlimited-register machine at issue rate 4 (long runs).  Each program
-  runs cold on the reference engine, the eager fast engine (every block
-  compiled, then the run) and ``simulate()``, on a fresh copy of the
-  program per run so no engine reuses generated code; each engine's
-  generated lines and best-of ``compile()`` seconds are recorded beside
-  its time.  Both outcomes must equal the reference's: error type and
-  message, or full stats, halting state, memory and both register
-  files.
+* ``fig07_set``: every benchmark at ``--scale`` on the unlimited-register
+  machine at issue rates 1/2/4/8, the sweep behind Figure 7;
+* ``microbench``: a tight arithmetic loop, one self-loop block with
+  unmapped operands that iterates inside its generated function for 50,000
+  passes;
+* ``sweep_batched``: per benchmark, one compiled program on 40 configs
+  (every RC model x issue width x extra-decode toggle), as 40 fast runs and
+  as one :func:`~repro.sim.simulate_gang`, each pass on a fresh copy of the
+  program so it pays what a cache-miss sweep pays.  Those gangs span 5 RC
+  models, a shape no caller issues, so each of the 5 class leaders pays its
+  own code generation.  Every gang slot must equal its fast run;
+* ``codegen``: the 12 benchmarks at issue rate 4 on the 16/16-core machine
+  without RC and with RC (model 3, on the benchmark's own file): generated
+  lines and the seconds of generating every block (``_Codegen.block``) and
+  of CPython's ``compile()`` of each.  Both points, and a parity-only third
+  one with RC at connect latency 1, are compared engine against engine;
+* ``tier``: the policy of ``simulate()``, which compiles a block at its
+  ``HOT_ENTRIES``-th entry, on 80 ``gen_machine_program`` programs (seeds
+  2000-2079, each on one ``fuzz_configs`` config with the job service's
+  50,000-cycle fuzz budget) and on the 12 fig07 benchmarks on the
+  unlimited machine at issue rate 4.  Each runs cold on the reference
+  engine, the eager fast engine and ``simulate()``, on a fresh copy of the
+  program per run, beside each engine's generated lines and best-of
+  ``compile()`` seconds.  Every outcome must equal the reference's: error
+  type and message, or full stats, halting state, memory and registers.
 
-Methodology: each (benchmark, config) point is compiled once; both engines
-then get one warmup run — whose results are compared field-by-field, the
-hard parity gate — followed by ``--repeat`` timed runs each, best-of taken.
-Each point also runs both engines once with ``max_cycles`` one below the
-reference cycle count, where the run's tail is past every block's cycle
-gate and executes the fast engine's checked blocks: the two must fail with
-the same error type and message, or agree on the full stats.
-The fast engine's warmup also populates its per-program code cache, so the
-timed runs measure steady-state engine throughput; the cold first-run time
-(including code generation) is recorded separately for transparency, beside
-the point's generated-source lines and best-of ``compile()`` seconds.
+Each fig07, microbench and codegen point runs both engines once cold (the
+fast engine's cold time includes its code generation), compared
+field-by-field, and again with ``max_cycles`` one below the reference
+cycle count, where the tail runs the fast engine's checked blocks: both
+must fail with the same error or agree on the full stats.  Warm times are
+best-of ``--repeat`` on the code the cold run generated.  Parity is the
+gate; timings are informational.
 
 Usage::
 
-    PYTHONPATH=src python benchmarks/bench_simspeed.py [-o BENCH_simspeed.json]
-
-Exits non-zero on any engine mismatch.  Speedup numbers are informational
-(CI uploads them as an artifact); parity is the gate.
+    python benchmarks/bench_simspeed.py [-o BENCH_simspeed.json] [--repeat N]
 """
 
 from __future__ import annotations
 
-import argparse
 import copy
 import dataclasses
-import json
-import os
-import platform
 import sys
-import time
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from repro.compiler import compile_module  # noqa: E402
-from repro.isa import Imm, Instr, Opcode, PhysReg, RClass  # noqa: E402
-from repro.rc import RCModel  # noqa: E402
-from repro.fuzz import fuzz_configs, gen_machine_program  # noqa: E402
-from repro.sim import (  # noqa: E402
-    FastSimulator,
-    Simulator,
-    assemble,
-    paper_machine,
-    simulate,
-    simulate_gang,
-    unlimited_machine,
-)
-from repro.sim.fastpath import (  # noqa: E402
-    _code_cache,
-    _Codegen,
-    program_blocks,
-)
-from repro.workloads import ALL_BENCHMARKS, build_workload, workload  # noqa: E402
+import harness
+from repro.compiler import compile_module
+from repro.fuzz import fuzz_configs, gen_machine_program
+from repro.isa import Imm, Instr, Opcode, PhysReg, RClass
+from repro.rc import RCModel
+from repro.sim import (FastSimulator, Simulator, assemble, paper_machine,
+                       simulate, simulate_gang, unlimited_machine)
+from repro.sim.fastpath import _code_cache, _Codegen, program_blocks
+from repro.workloads import ALL_BENCHMARKS, build_workload, workload
 
 ISSUE_RATES = (1, 2, 4, 8)
-
-#: The batched-sweep matrix per benchmark: every RC reset model × issue
-#: width × extra-decode toggle — 40 configs, one compiled program, the
-#: shape of a figure sweep.
-SWEEP_WIDTHS = (1, 2, 4, 8)
 
 
 def _check_parity(ref, fast, label: str) -> list[str]:
@@ -129,43 +98,37 @@ def _codegen_cost(program, config, repeat: int, leaders=None) -> dict:
     decoded = Simulator(program, config)._decoded
     blocks = [(lead, body) for lead, body in program_blocks(program, decoded)
               if leaders is None or lead in leaders]
-    generate_s = compile_s = float("inf")
-    for _ in range(repeat):
-        gen = _Codegen(program, config, decoded)
-        t0 = time.perf_counter()
-        sources = [gen.block(lead, body)[0] for lead, body in blocks]
-        t1 = time.perf_counter()
-        for source in sources:
-            compile(source, "<fastpath>", "exec")
-        t2 = time.perf_counter()
-        generate_s = min(generate_s, t1 - t0)
-        compile_s = min(compile_s, t2 - t1)
+
+    def fresh():
+        return _Codegen(program, config, decoded)
+
+    def generate(gen):
+        return [gen.block(lead, body)[0] for lead, body in blocks]
+
+    sources = generate(fresh())
     return {"source_lines": sum(s.count("\n") for s in sources),
-            "generate_seconds": generate_s, "compile_seconds": compile_s}
+            **harness.fields("generate",
+                             harness.best(generate, repeat, fresh)),
+            **harness.fields("compile", harness.best(
+                lambda: [compile(s, "<fastpath>", "exec") for s in sources],
+                repeat))}
 
 
-def _time_engine(make_sim, repeat: int) -> float:
-    best = float("inf")
-    for _ in range(repeat):
-        sim = make_sim()
-        t0 = time.perf_counter()
-        sim.run()
-        best = min(best, time.perf_counter() - t0)
-    return best
+def _codegen_totals(points) -> dict:
+    return {"source_lines": sum(p["source_lines"] for p in points),
+            **harness.totals(points, "generate", "compile")}
 
 
 def _cold_parity(program, config, label: str):
     """One cold run per engine, compared on the full outcome and under a
-    budget one cycle short: the reference result, the cold seconds of each
+    budget one cycle short: the reference result, the cold timing of each
     engine, and the problems found."""
-    t0 = time.perf_counter()
-    ref_res = Simulator(program, config).run()
-    ref_cold = time.perf_counter() - t0
+    def run_fast():
+        sim = FastSimulator(program, config)
+        return sim, sim.run()
 
-    t0 = time.perf_counter()
-    fast_sim = FastSimulator(program, config)
-    fast_res = fast_sim.run()
-    fast_cold = time.perf_counter() - t0
+    ref_res, ref_cold = harness.once(lambda: Simulator(program, config).run())
+    (fast_sim, fast_res), fast_cold = harness.once(run_fast)
     problems = _check_parity(ref_res, fast_res, label)
     if not fast_sim.ran_fastpath:
         problems.append(f"{label}: fast engine unexpectedly fell back")
@@ -174,28 +137,37 @@ def _cold_parity(program, config, label: str):
     return ref_res, ref_cold, fast_cold, problems
 
 
+def _warm(engine, program, config, repeat: int) -> harness.Timing:
+    return harness.best(lambda sim: sim.run(), repeat,
+                        lambda: engine(program, config))
+
+
 def bench_point(program, config, label: str, repeat: int) -> tuple[dict, list]:
-    # Warmup + parity gate.  The fast warmup is timed: it pays the one-time
-    # specialization (codegen + compile) cost, reported as "cold".
     ref_res, ref_cold, fast_cold, problems = _cold_parity(program, config,
                                                           label)
     insns = ref_res.stats.instructions
-    ref_s = _time_engine(lambda: Simulator(program, config), repeat)
-    fast_s = _time_engine(lambda: FastSimulator(program, config), repeat)
     point = {
         "label": label,
         "instructions": insns,
         "cycles": ref_res.stats.cycles,
-        "ref_seconds": ref_s,
-        "fast_seconds": fast_s,
-        "ref_cold_seconds": ref_cold,
-        "fast_cold_seconds": fast_cold,
-        "ref_insns_per_sec": insns / ref_s,
-        "fast_insns_per_sec": insns / fast_s,
-        "speedup": ref_s / fast_s,
+        **harness.fields("ref", _warm(Simulator, program, config, repeat)),
+        **harness.fields("fast", _warm(FastSimulator, program, config,
+                                       repeat)),
+        **harness.fields("ref_cold", ref_cold),
+        **harness.fields("fast_cold", fast_cold),
         **_codegen_cost(program, config, repeat),
     }
-    return point, problems
+    return _rates(point), problems
+
+
+def _rates(summary: dict) -> dict:
+    """*summary* with instructions per reference second and speedups."""
+    ref_s, fast_s = summary["ref_seconds"], summary["fast_seconds"]
+    return {**summary,
+            "ref_insns_per_sec": summary["instructions"] / ref_s,
+            "fast_insns_per_sec": summary["instructions"] / fast_s,
+            "speedup": ref_s / fast_s,
+            "cold_speedup": ref_s / summary["fast_cold_seconds"]}
 
 
 def bench_fig07_set(scale: int, repeat: int) -> tuple[dict, list]:
@@ -209,39 +181,22 @@ def bench_fig07_set(scale: int, repeat: int) -> tuple[dict, list]:
                                        f"{name}@{issue}-issue", repeat)
             points.append(point)
             problems.extend(probs)
-    ref_s = sum(p["ref_seconds"] for p in points)
-    fast_s = sum(p["fast_seconds"] for p in points)
-    cold_s = sum(p["fast_cold_seconds"] for p in points)
-    insns = sum(p["instructions"] for p in points)
     summary = {
         "points": points,
-        "instructions": insns,
-        "ref_seconds": ref_s,
-        "fast_seconds": fast_s,
-        "fast_cold_seconds": cold_s,
+        "instructions": sum(p["instructions"] for p in points),
+        **harness.totals(points, "ref", "fast", "fast_cold"),
         **_codegen_totals(points),
-        "ref_insns_per_sec": insns / ref_s,
-        "fast_insns_per_sec": insns / fast_s,
-        "speedup": ref_s / fast_s,
-        "cold_speedup": ref_s / cold_s,
     }
-    return summary, problems
+    return _rates(summary), problems
 
 
-def _codegen_totals(points) -> dict:
-    return {key: sum(p[key] for p in points)
-            for key in ("source_lines", "generate_seconds", "compile_seconds")}
-
-
-def _codegen_configs(rc_class) -> dict:
-    """The codegen section's machines: issue rate 4, 16/16 core registers.
-    ``rc_connect1`` is compared for parity only; it is the machine whose
-    generated interlocks still fold map-ready times."""
-    base = dict(issue_width=4, int_core=16, fp_core=16)
-    return {"no_rc": paper_machine(**base),
-            "rc": paper_machine(**base, rc_class=rc_class),
-            "rc_connect1": paper_machine(**base, rc_class=rc_class,
-                                         connect_latency=1)}
+def _codegen_configs(kind: str) -> dict:
+    """The codegen section's machines at issue rate 4.  ``rc_connect1`` is
+    compared for parity only; it is the machine whose generated interlocks
+    still fold map-ready times."""
+    return {"no_rc": harness.core_machine(None),
+            "rc": harness.core_machine(kind),
+            "rc_connect1": harness.core_machine(kind, connect_latency=1)}
 
 
 def bench_codegen(scale: int, repeat: int) -> tuple[dict, list]:
@@ -251,10 +206,8 @@ def bench_codegen(scale: int, repeat: int) -> tuple[dict, list]:
     problems = []
     parity_points = 0
     for name in ALL_BENCHMARKS:
-        kind = workload(name).kind
-        rc_class = RClass.INT if kind == "int" else RClass.FP
         module = build_workload(name, scale=scale)
-        for side, cfg in _codegen_configs(rc_class).items():
+        for side, cfg in _codegen_configs(workload(name).kind).items():
             program = compile_module(module, cfg).program
             *_, probs = _cold_parity(program, cfg, f"{name} {side}")
             problems.extend(probs)
@@ -299,35 +252,20 @@ def bench_micro(repeat: int) -> tuple[dict, list]:
 def _sweep_configs(rc_class):
     return [paper_machine(issue_width=width, rc_class=rc_class,
                           rc_model=model, extra_decode_stage=extra)
-            for model in RCModel for width in SWEEP_WIDTHS
+            for model in RCModel for width in ISSUE_RATES
             for extra in (False, True)]
 
 
 def bench_sweep_batched(scale: int, repeat: int) -> tuple[dict, list]:
-    """Sweep throughput: per-config fast runs vs one lockstep gang.
-
-    Per benchmark, one compiled program sweeps the full model × width ×
-    extra-decode matrix (40 configs).  The baseline is the current fast
-    path, one run per config; the gang simulates all 40 in one pass.  Every
-    gang slot is compared field-by-field against its single-config fast run
-    — the parity gate.
-
-    These gangs span 5 RC models on one compiled program, a shape the sweep
-    executor never issues (its compile key includes the model, so its gangs
-    have one model class).  Each of the 5 class leaders here pays its own
-    code generation.
-    """
+    """Per-config fast runs vs one lockstep gang, per benchmark."""
     points, problems = [], []
     for name in ALL_BENCHMARKS:
-        kind = workload(name).kind
-        rc_class = RClass.INT if kind == "int" else RClass.FP
+        rc_class = RClass.FP if workload(name).kind == "fp" else RClass.INT
         module = build_workload(name, scale=scale)
         program = compile_module(
             module, paper_machine(issue_width=1, rc_class=rc_class)).program
         configs = _sweep_configs(rc_class)
 
-        # Warmup + parity gate: per-slot comparison of one gang against
-        # single fast runs.
         singles = [FastSimulator(program, cfg).run() for cfg in configs]
         gang = simulate_gang(program, configs)
         for cfg, single, slot in zip(configs, singles, gang):
@@ -338,50 +276,33 @@ def bench_sweep_batched(scale: int, repeat: int) -> tuple[dict, list]:
             else:
                 problems.extend(_check_parity(single, slot.result, label))
 
-        # Timed passes run against a fresh deepcopy of the program so each
-        # pass pays exactly what a cache-miss sweep pays: the fast engine's
-        # codegen cache is keyed on program identity, so reusing the warmed
-        # object would measure steady-state re-simulation of identical
-        # points — a workload the sweep executor never issues.
-        def fast_pass():
-            prog = copy.deepcopy(program)
-            t0 = time.perf_counter()
-            for cfg in configs:
-                FastSimulator(prog, cfg).run()
-            return time.perf_counter() - t0
+        def fresh():
+            return copy.deepcopy(program)
 
-        fast_s = min(fast_pass() for _ in range(repeat))
-
-        def gang_pass():
-            prog = copy.deepcopy(program)
-            t0 = time.perf_counter()
-            simulate_gang(prog, configs)
-            return time.perf_counter() - t0
-
-        gang_s = min(gang_pass() for _ in range(repeat))
-        insns = sum(s.stats.instructions for s in singles)
+        fast = harness.best(
+            lambda prog: [FastSimulator(prog, cfg).run() for cfg in configs],
+            repeat, fresh)
+        batched = harness.best(lambda prog: simulate_gang(prog, configs),
+                               repeat, fresh)
         points.append({
             "benchmark": name,
             "configs": len(configs),
-            "instructions": insns,
-            "fast_seconds": fast_s,
-            "batched_seconds": gang_s,
-            "speedup": fast_s / gang_s,
+            "instructions": sum(s.stats.instructions for s in singles),
+            **harness.fields("fast", fast),
+            **harness.fields("batched", batched),
+            "speedup": fast.ref / batched.ref,
         })
 
-    fast_s = sum(p["fast_seconds"] for p in points)
-    gang_s = sum(p["batched_seconds"] for p in points)
-    insns = sum(p["instructions"] for p in points)
+    totals = harness.totals(points, "fast", "batched")
+    configs = sum(p["configs"] for p in points)
     summary = {
         "points": points,
-        "configs_per_benchmark": len(_sweep_configs(RClass.INT)),
-        "instructions": insns,
-        "fast_seconds": fast_s,
-        "batched_seconds": gang_s,
-        "fast_points_per_sec": len(points) * 40 / fast_s,
-        "batched_points_per_sec": len(points) * 40 / gang_s,
-        "speedup": fast_s / gang_s,
-        "parity_failures": len(problems),
+        "configs_per_benchmark": points[0]["configs"],
+        "instructions": sum(p["instructions"] for p in points),
+        **totals,
+        "fast_points_per_sec": configs / totals["fast_seconds"],
+        "batched_points_per_sec": configs / totals["batched_seconds"],
+        "speedup": totals["fast_seconds"] / totals["batched_seconds"],
     }
     return summary, problems
 
@@ -421,18 +342,6 @@ def _attempt(run):
         return run()
     except Exception as exc:  # noqa: BLE001 - a faulting run is an outcome
         return exc
-
-
-def _time_cold(run, program, repeat: int) -> float:
-    """Best-of-*repeat* time of ``run(copy)``, each on a fresh copy of
-    *program* so the fast engine's per-program code cache never hits."""
-    best = float("inf")
-    for _ in range(repeat):
-        prog = copy.deepcopy(program)
-        t0 = time.perf_counter()
-        _attempt(lambda: run(prog))
-        best = min(best, time.perf_counter() - t0)
-    return best
 
 
 def _compiled_leaders(program, config) -> set[int]:
@@ -475,19 +384,24 @@ def bench_tier(scale: int, repeat: int) -> tuple[dict, list]:
                                  handoff_cycle=res.handoff_cycle)
                 leaders = _compiled_leaders(prog, cfg)
                 cost = (_codegen_cost(prog, cfg, repeat, leaders) if leaders
-                        else {"source_lines": 0, "compile_seconds": 0.0})
-                point[f"{name}_seconds"] = _time_cold(
-                    lambda p, r=run: r(p, cfg), program, repeat)
+                        else dict.fromkeys(("source_lines", "compile_seconds",
+                                            "compile_host_seconds"), 0))
+                point.update(harness.fields(name, harness.best(
+                    lambda p, r=run: _attempt(lambda: r(p, cfg)), repeat,
+                    lambda: copy.deepcopy(program))))
                 point[f"{name}_lines"] = cost["source_lines"]
                 point[f"{name}_compile_seconds"] = cost["compile_seconds"]
+                point[f"{name}_compile_host_seconds"] = (
+                    cost["compile_host_seconds"])
             points.append(point)
-        totals = {f"{name}_{what}": sum(p[f"{name}_{what}"] for p in points)
-                  for name in TIER_ENGINES
-                  for what in ("seconds", "lines", "compile_seconds")}
+        totals = harness.totals(points, *TIER_ENGINES,
+                                *(f"{name}_compile" for name in TIER_ENGINES))
         groups[group] = {
             "points": points,
             "programs": len(points),
             **totals,
+            **{f"{name}_lines": sum(p[f"{name}_lines"] for p in points)
+               for name in TIER_ENGINES},
             "simulate_codegen_runs": sum(p["simulate_lines"] > 0
                                          for p in points),
             "simulate_vs_best": totals["simulate_seconds"]
@@ -496,90 +410,58 @@ def bench_tier(scale: int, repeat: int) -> tuple[dict, list]:
     return groups, problems
 
 
+def table(report: dict) -> tuple[list, list]:
+    rows = []
+
+    def add(section, engine, seconds, base=None, lines="", compile_s=None):
+        rows.append([section, engine, f"{seconds:.3f}",
+                     f"{base / seconds:.2f}x" if base else "", lines,
+                     "" if compile_s is None else f"{compile_s:.3f}"])
+
+    f, m = report["fig07_set"], report["microbench"]
+    add(f"fig07 set, {len(f['points'])} runs", "reference",
+        f["ref_seconds"], f["ref_seconds"])
+    add("", "fast, warm", f["fast_seconds"], f["ref_seconds"])
+    add("", "fast, cold", f["fast_cold_seconds"], f["ref_seconds"],
+        f["source_lines"], f["compile_seconds"])
+    add("microbench", "reference", m["ref_seconds"], m["ref_seconds"])
+    add("", "fast, warm", m["fast_seconds"], m["ref_seconds"],
+        m["source_lines"], m["compile_seconds"])
+    s = report["sweep_batched"]
+    add(f"gang sweep, {len(s['points'])} x {s['configs_per_benchmark']} "
+        f"configs", "fast, per config", s["fast_seconds"], s["fast_seconds"])
+    add("", "simulate_gang", s["batched_seconds"], s["fast_seconds"])
+    for side, label in (("no_rc", "no RC"), ("rc", "RC")):
+        c = report["codegen"][side]
+        add(f"codegen, {len(c['points'])} benchmarks, {label}",
+            "generate only", c["generate_seconds"], None, c["source_lines"],
+            c["compile_seconds"])
+    for group, g in report["tier"].items():
+        for name, label in (("ref", "reference"), ("eager", "fast, eager"),
+                            ("simulate", "simulate()")):
+            add(f"tier {group}, {g['programs']} programs"
+                if name == "ref" else "", label, g[f"{name}_seconds"],
+                g["ref_seconds"], g[f"{name}_lines"],
+                g[f"{name}_compile_seconds"])
+    return (["section", "engine", "reference s", "speedup",
+             "generated lines", "compile() s"], rows)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("-o", "--output", default=None,
-                        help="write the JSON report here "
-                             "(default: stdout only)")
-    parser.add_argument("--repeat", type=int, default=3,
-                        help="timed repetitions per engine (best-of)")
-    parser.add_argument("--scale", type=int,
-                        default=int(os.environ.get("REPRO_SCALE", "1")))
-    parser.add_argument("--min-sweep-speedup", type=float, default=0.0,
-                        help="fail unless the batched sweep speedup reaches "
-                             "this factor (0 = informational)")
-    args = parser.parse_args(argv)
-
-    fig07, problems = bench_fig07_set(args.scale, args.repeat)
-    micro, micro_problems = bench_micro(args.repeat)
-    problems.extend(micro_problems)
-    sweep, sweep_problems = bench_sweep_batched(args.scale, args.repeat)
-    problems.extend(sweep_problems)
-    codegen, codegen_problems = bench_codegen(args.scale, args.repeat)
-    problems.extend(codegen_problems)
-    tier, tier_problems = bench_tier(args.scale, args.repeat)
-    problems.extend(tier_problems)
-
-    report = {
-        "scale": args.scale,
-        "repeat": args.repeat,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "parity_failures": problems,
-        "fig07_set": fig07,
-        "microbench": micro,
-        "sweep_batched": sweep,
-        "codegen": codegen,
-        "tier": tier,
-    }
-    text = json.dumps(report, indent=2)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-    print(f"fig07 set  ({len(fig07['points'])} points, "
-          f"{fig07['instructions']} insns): "
-          f"ref {fig07['ref_insns_per_sec']:.0f} insns/s, "
-          f"fast {fig07['fast_insns_per_sec']:.0f} insns/s "
-          f"-> {fig07['speedup']:.2f}x warm, "
-          f"{fig07['cold_speedup']:.2f}x cold "
-          f"({fig07['source_lines']} generated lines, "
-          f"compile() {fig07['compile_seconds']:.3f}s)")
-    print(f"microbench ({micro['instructions']} insns): "
-          f"ref {micro['ref_insns_per_sec']:.0f} insns/s, "
-          f"fast {micro['fast_insns_per_sec']:.0f} insns/s "
-          f"-> {micro['speedup']:.2f}x")
-    print(f"batched sweep ({len(sweep['points'])} benchmarks x "
-          f"{sweep['configs_per_benchmark']} configs): "
-          f"fast {sweep['fast_points_per_sec']:.1f} points/s, "
-          f"batched {sweep['batched_points_per_sec']:.1f} points/s "
-          f"-> {sweep['speedup']:.2f}x")
-    for side in ("no_rc", "rc"):
-        c = codegen[side]
-        print(f"codegen {side} ({len(c['points'])} benchmarks at issue 4, "
-              f"16/16 core): {c['source_lines']} lines, "
-              f"generate {c['generate_seconds']:.3f}s, "
-              f"compile() {c['compile_seconds']:.3f}s")
-    for group, g in tier.items():
-        print(f"tier {group} ({g['programs']} programs, "
-              f"{g['simulate_codegen_runs']} generate code in simulate()): "
-              f"ref {g['ref_seconds']:.3f}s, "
-              f"eager {g['eager_seconds']:.3f}s "
-              f"({g['eager_lines']} lines, "
-              f"compile() {g['eager_compile_seconds']:.3f}s), "
-              f"simulate() {g['simulate_seconds']:.3f}s "
-              f"({g['simulate_lines']} lines, "
-              f"compile() {g['simulate_compile_seconds']:.3f}s; "
-              f"{g['simulate_vs_best']:.2f}x the faster engine)")
-    if problems:
-        print(f"PARITY FAILURES ({len(problems)}):", file=sys.stderr)
-        for p in problems:
-            print(f"  {p}", file=sys.stderr)
-        return 1
-    print("parity: OK (every point compared on stats, memory, registers)")
-    if args.min_sweep_speedup and sweep["speedup"] < args.min_sweep_speedup:
-        print(f"FAIL: batched sweep speedup {sweep['speedup']:.2f}x below "
-              f"the {args.min_sweep_speedup:.1f}x gate", file=sys.stderr)
-        return 1
-    return 0
+    args = harness.parse_args(__doc__, argv, "repeat", "scale")
+    body, problems = {}, []
+    for section, bench in (
+            ("fig07_set", lambda: bench_fig07_set(args.scale, args.repeat)),
+            ("microbench", lambda: bench_micro(args.repeat)),
+            ("sweep_batched", lambda: bench_sweep_batched(args.scale,
+                                                          args.repeat)),
+            ("codegen", lambda: bench_codegen(args.scale, args.repeat)),
+            ("tier", lambda: bench_tier(args.scale, args.repeat))):
+        body[section], probs = bench()
+        problems.extend(probs)
+    return harness.finish(
+        args, body, problems, table,
+        "parity: OK (every point compared on stats, memory, registers)")
 
 
 if __name__ == "__main__":

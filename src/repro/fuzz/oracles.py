@@ -65,7 +65,9 @@ class Divergence:
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {k: v for k, v in dataclasses.asdict(self).items() if v}
+        """The non-empty fields; ``seed`` whenever it is set, 0 included."""
+        return {k: v for k, v in dataclasses.asdict(self).items()
+                if v or (k == "seed" and v is not None)}
 
 
 def fuzz_configs(has_connects: bool = True,

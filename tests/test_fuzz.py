@@ -35,6 +35,7 @@ from repro.fuzz import (
 )
 from repro.fuzz.oracles import (
     FUZZ_MODELS,
+    Divergence,
     checker_soundness,
     compile_determinism,
     fuzz_configs,
@@ -306,6 +307,13 @@ def test_crash_corpus_is_nonempty():
 # -- the harness itself --------------------------------------------------------
 
 class TestRunner:
+    def test_divergence_keeps_seed_zero(self):
+        found = Divergence(oracle="sim-parity", detail="x", level="asm",
+                           seed=0)
+        assert found.to_dict()["seed"] == 0
+        assert "seed" not in Divergence(oracle="sim-parity",
+                                         detail="x").to_dict()
+
     def test_small_run_is_clean_and_reports(self):
         report = run_fuzz(FuzzOptions(seed=3, budget=4, level="all",
                                       replay_corpus=False))
