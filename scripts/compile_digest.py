@@ -26,11 +26,12 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.compiler import compile_module  # noqa: E402
+from repro.compiler import CompileOptions, compile_back  # noqa: E402
+from repro.experiments import front_end  # noqa: E402
 from repro.experiments.figures import SIZE_PAIRS, _config  # noqa: E402
 from repro.isa.asmfmt import format_listing  # noqa: E402
 from repro.rc import RCModel  # noqa: E402
-from repro.workloads import ALL_BENCHMARKS, workload  # noqa: E402
+from repro.workloads import ALL_BENCHMARKS  # noqa: E402
 
 MODELS = (1, 2, 3, 4, 5)
 WIDTHS = (1, 4)
@@ -41,7 +42,9 @@ def point_digest(name: str, int_core: int, fp_core: int, model: int,
     """(label, sha256) of one compile."""
     config = _config(name, rc=True, int_core=int_core, fp_core=fp_core,
                      issue=width, model=RCModel(model))
-    out = compile_module(workload(name).module(1), config)
+    options = CompileOptions()
+    _module, front = front_end(name, 1, options)
+    out = compile_back(front, config, options)
     prog, rep = out.program, out.connect_opt
     h = hashlib.sha256()
     for part in (format_listing(prog.instrs), prog.targets, prog.entry,

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -32,9 +33,11 @@ from concurrent.futures import ProcessPoolExecutor
 
 from repro.analyze import Baseline, annotate_listing, check_program
 from repro.errors import CycleBudgetError
-from repro.compiler import CompileOptions, OptOptions, compile_module
+from repro.compiler import (CompileOptions, OptOptions, compile_back,
+                            compile_module)
 from repro.compiler.regalloc.allocator import AllocationOptions
-from repro.experiments import ALL_FIGURES, ExperimentRunner, SweepExecutor
+from repro.experiments import (ALL_FIGURES, ExperimentRunner, SweepExecutor,
+                               front_end)
 from repro.experiments.executor import default_jobs
 from repro.isa import RClass
 from repro.observe import (
@@ -137,10 +140,10 @@ def _build_options(args) -> CompileOptions:
 
 def _compile_benchmark(args):
     w = workload(args.benchmark)
-    module = w.module(args.scale)
     config = _build_machine(args, w.kind)
-    out = compile_module(module, config, _build_options(args))
-    return w, module, config, out
+    options = _build_options(args)
+    module, front = front_end(w.name, args.scale, options)
+    return w, module, config, compile_back(front, config, options)
 
 
 def _engine_text(result) -> str:
@@ -212,15 +215,13 @@ def _check_job(args, name: str, model: int, matrix: bool):
     shipped back.
     """
     ns = copy.copy(args)
+    ns.benchmark = name
     ns.model = model
     if matrix:
         # Matrix mode: the reset model only matters with RC, so apply the
         # extension to the benchmark's register class.
         ns.rc = True
-    w = workload(name)
-    module = w.module(ns.scale)
-    config = _build_machine(ns, w.kind)
-    out = compile_module(module, config, _build_options(ns))
+    _w, _module, config, out = _compile_benchmark(ns)
     report = check_program(out.program, config)
     return f"{name} model {model}", config.describe(), report
 
@@ -730,8 +731,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Built once per process: no default reads the environment.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.fn(args)
 
 

@@ -23,7 +23,8 @@ from repro.experiments.executor import (
     sweep_figures,
 )
 from repro.experiments.report import FigureResult, Series, geomean
-from repro.experiments.runner import ExperimentRunner, RunRecord, code_fingerprint
+from repro.experiments.runner import (ExperimentRunner, RunRecord,
+                                      code_fingerprint, front_end)
 
 __all__ = [
     "ALL_FIGURES",
@@ -37,6 +38,7 @@ __all__ = [
     "SweepStats",
     "sweep_figures",
     "code_fingerprint",
+    "front_end",
     "ablation_cpistack",
     "ablation_models",
     "ablation_unroll",

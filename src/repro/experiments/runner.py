@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,12 +23,13 @@ from repro.compiler import (
     AllocationOptions,
     CompileOptions,
     CompileOutput,
+    FrontEnd,
     OptOptions,
     compile_back,
     compile_front,
 )
 from repro.errors import SimulationError
-from repro.ir import Module, run_module
+from repro.ir import Module, resolve_ir_engine, run_module
 from repro.isa import RClass
 from repro.observe import CPIStack, Observer
 from repro.sim import (
@@ -73,6 +75,48 @@ def code_fingerprint(refresh: bool = False) -> str:
                 digest.update(path.read_bytes())
     _fingerprint_cache = digest.hexdigest()[:16]
     return _fingerprint_cache
+
+
+#: Size of each in-memory compile memo (FIFO eviction): the process-wide
+#: front ends of :func:`front_end`, and each runner's compiled programs.
+COMPILE_CACHE_CAP = 64
+
+_fronts: dict[tuple, tuple[Module, FrontEnd]] = {}
+_fronts_lock = threading.Lock()
+
+
+def _remember(memo: dict, key: tuple, value: tuple) -> tuple:
+    if len(memo) >= COMPILE_CACHE_CAP:
+        memo.pop(next(iter(memo)))
+    memo[key] = value
+    return value
+
+
+def front_end(benchmark: str, scale: int, options: CompileOptions,
+              entry: str = "main") -> tuple[Module, FrontEnd]:
+    """*benchmark*'s ``(source module, FrontEnd)``, once per process.
+
+    Keyed on everything :func:`~repro.compiler.compile_front` reads, so
+    every runner and ``repro run``/``disasm``/``trace``/``check`` call of a
+    process shares it.  Callers treat both as read-only:
+    :func:`~repro.compiler.compile_back` copies the IR it transforms.
+    """
+    key = (benchmark, scale, options.opt, options.profile_step_limit,
+           resolve_ir_engine(options.ir_engine), entry)
+    with _fronts_lock:
+        hit = _fronts.get(key)
+    if hit is not None:
+        return hit
+    module = workload(benchmark).module(scale)
+    front = (module, compile_front(module, options, entry))
+    with _fronts_lock:
+        return _fronts.get(key) or _remember(_fronts, key, front)
+
+
+def clear_front_ends() -> None:
+    """Empty the :func:`front_end` memo (for tests that need a cold one)."""
+    with _fronts_lock:
+        _fronts.clear()
 
 
 @dataclass(frozen=True)
@@ -156,10 +200,6 @@ def _config_key(config: MachineConfig) -> str:
 class ExperimentRunner:
     """Runs and caches benchmark experiments at a fixed input scale."""
 
-    #: Size of each in-memory compile memo (FIFO eviction): front ends per
-    #: (benchmark, opt options), and compiled programs per compile key.
-    COMPILE_CACHE_CAP = 64
-
     def __init__(self, scale: int | None = None,
                  cache_dir: str | Path | None = None,
                  verify_checksums: bool = True,
@@ -175,7 +215,6 @@ class ExperimentRunner:
         self._disk = Store(self.cache_dir)
         self._memory: dict[str, RunRecord] = {}
         self._golden: dict[str, int | float] = {}
-        self._fronts: dict[tuple, tuple] = {}
         self._compiled: dict[tuple, tuple] = {}
         self._fingerprint = code_fingerprint()
         #: cache traffic counters, surfaced by the sweep executor.
@@ -262,11 +301,10 @@ class ExperimentRunner:
                 num_windows: int = 4) -> tuple[Module, CompileOutput]:
         """Compile *benchmark* for *config*: ``(source module, output)``.
 
-        Memoized at two levels.  The machine-independent front end
-        (:func:`~repro.compiler.compile_front`) is computed once per
-        ``(benchmark, opt_level, unroll_factor)``, so every config of a
-        sweep shares it.  The finished compile is memoized on the
-        compile-affecting key: sweep points that differ only in
+        Memoized at two levels.  The machine-independent front end comes
+        from the process-wide :func:`front_end`, shared by every config of
+        a sweep and every runner of the process.  The finished compile is
+        memoized on the compile-affecting key: sweep points that differ only in
         simulate-affecting fields (``extra_decode_stage``, ``max_cycles``)
         reuse one compilation — and, because the same ``MachineProgram``
         object is returned, the fast engine's per-program code cache
@@ -283,21 +321,9 @@ class ExperimentRunner:
             opt=OptOptions(level=opt_level, unroll_factor=unroll_factor),
             alloc=AllocationOptions(num_windows=num_windows),
         )
-        fkey = (benchmark, opt_level, unroll_factor)
-        front = self._fronts.get(fkey)
-        if front is None:
-            module = workload(benchmark).module(self.scale)
-            front = self._remember(self._fronts, fkey,
-                                   (module, compile_front(module, options)))
-        module, front_end = front
-        out = compile_back(front_end, config, options)
-        return self._remember(self._compiled, ckey, (module, out))
-
-    def _remember(self, memo: dict, key: tuple, value: tuple) -> tuple:
-        if len(memo) >= self.COMPILE_CACHE_CAP:
-            memo.pop(next(iter(memo)))
-        memo[key] = value
-        return value
+        module, front = front_end(benchmark, self.scale, options)
+        out = compile_back(front, config, options)
+        return _remember(self._compiled, ckey, (module, out))
 
     def cached(self, benchmark: str, config: MachineConfig,
                collect_cpi: bool = False, **kwargs) -> RunRecord | None:

@@ -34,7 +34,10 @@ is compiled or has reached its :data:`HOT_ENTRIES`-th entry; the driver
 then binds that block's function, generating and compiling it on first use
 the way ``_CHK`` builds checked blocks, and the entry runs on it.  Both
 engines add into the same :class:`SimStats`, so a run can cross between
-them at every block boundary, in either direction.
+them at every block boundary, in either direction.  Before the first block
+of a (program, config) pair is due, the driver is not built at all: the
+step counts every pc's fetches, so a run that compiles no block costs
+about what a reference run does.
 
 Why 16.  Generating and compiling one static instruction costs about
 0.3 ms, while the reference runs about 0.42 Minst/s and generated code
@@ -45,9 +48,10 @@ kind of traffic (400 ``gen_machine_program`` jobs, each on one
 would generate 235,646 lines; a threshold of 2 generates 12,142 lines in 94
 runs, 16 generates 1,027 lines in 7.  On the 12 benchmarks x {no RC, RC}
 at issue rate 4 with 16/16 core registers, thresholds from 2 to 16 cut the
-generated lines by 25-34% (65,725 eagerly; 43,166 at 16) and save about
-the same time, since the blocks they skip run few times either way.  The
-``tier`` section of ``BENCH_simspeed.json`` measures the policy.
+generated lines by about a quarter to a third and save about the same
+time, since the blocks they skip run few times either way.  The ``tier``
+section of ``BENCH_simspeed.json`` measures the policy (README renders
+it under "Simulation engines").
 
 The eager constructor (``FastSimulator(program, config)``) instead
 compiles every block before the run, so a caller that times execution
@@ -69,10 +73,10 @@ code for cases its run cannot reach:
 
 An interlock stall is one branch at every width: it always ends at its
 bound, with an open group closed first, so ``ST[0] += b - cycle -
-(issued and 1)`` accounts both.  Over the 12 benchmarks x {no RC, RC model 3}
-at width 4 with 16/16 core registers, the three cut the generated source
-from 87,087 to 66,521 lines (-24%) and CPython's ``compile()`` time of it
-by 15%; the ``codegen`` section of ``BENCH_simspeed.json`` tracks both.
+(issued and 1)`` accounts both.  The three shrink the generated source and
+CPython's ``compile()`` time of it; the ``codegen`` section of
+``BENCH_simspeed.json`` (rendered in README) tracks both over the 12
+benchmarks x {no RC, RC model 3} at width 4 with 16/16 core registers.
 
 Two pieces of bookkeeping are paid per block rather than per instruction:
 
@@ -862,6 +866,18 @@ class FastSimulator:
         ftab = state.fp_table
         threshold = self._threshold
         code = self._code = self._code or _lookup(program, config)
+        pc, cycle, issued, mem_used, store_seen, map_en = (
+            ref._pc, ref._cycle, 0, 0, False, state.psw.map_enable)
+        counted = None
+        if code is None and threshold:
+            # No block of this pair has code yet: count every pc's fetches
+            # on the reference step until one is due.  A run that halts
+            # first builds none of the driver below.
+            counted = [threshold - 1] * n
+            (pc, cycle, issued, mem_used, store_seen, map_en,
+             halted) = ref.step(pc, cycle, 0, 0, False, map_en, counted)
+            if halted:
+                return self._finish(pc, cycle, [])
         # The ready-time arrays and the stats are the reference's own: the
         # step updates them directly, generated blocks in place or through
         # ``ST``, which is added on at the end.
@@ -928,7 +944,8 @@ class FastSimulator:
             fast = code.fast if code is not None else {}
             for lead in leaders:
                 if lead not in fast:
-                    left[lead] = max(threshold - 1, 0)
+                    left[lead] = (counted[lead] if counted
+                                  else max(threshold - 1, 0))
                 elif fast[lead] is not None:
                     left[lead] = 0
         step = ref.step
@@ -959,19 +976,13 @@ class FastSimulator:
                         left)
 
         # Control only ever reaches a leader, but a run resumed after
-        # reference segments starts anywhere, and an interrupt those took
-        # returns mid-block.
+        # reference segments starts anywhere, an interrupt those took
+        # returns mid-block, and the counting step above stops at any pc.
         funcs: list = [None] * n
-        for pc in (*leaders, ref._pc, *(ret for _p, ret in state.trap_stack)):
-            if pc < n:
-                funcs[pc] = partial(_cold, pc)
+        for at in (*leaders, pc, *(ret for _p, ret in state.trap_stack)):
+            if at < n:
+                funcs[at] = partial(_cold, at)
 
-        pc = ref._pc
-        cycle = ref._cycle
-        issued = 0
-        mem_used = 0
-        store_seen = False
-        map_en = state.psw.map_enable
         if trace is None:
             while True:
                 if cycle > maxc:
@@ -1026,16 +1037,19 @@ class FastSimulator:
             stats.mispredicts += st[1]
             stats.mem_channel_stalls += st[2]
             stats.redirect_cycles += st[3]
-        ref._fold_categories()
-        stats.cycles = cycle
+        return self._finish(pc, cycle, handoff)
 
-        # Publish the final position into the embedded reference simulator
-        # so a subsequent run() returns exactly as the reference engine
-        # would after halting.
+    def _finish(self, pc: int, cycle: int, handoff: list) -> SimResult:
+        """Fold the halted run's statistics and publish its final position
+        into the embedded reference simulator, so a subsequent run()
+        returns exactly as the reference engine would after halting."""
+        ref = self._ref
+        ref._fold_categories()
+        ref._stats.cycles = cycle
         ref._pc = pc
         ref._cycle = cycle
         ref._halted = True
         if not handoff:
-            return SimResult(stats=stats, state=state, halted=True)
-        return SimResult(stats=stats, state=state, halted=True,
+            return SimResult(stats=ref._stats, state=ref.state, halted=True)
+        return SimResult(stats=ref._stats, state=ref.state, halted=True,
                          engine="fast", handoff_cycle=handoff[0] or None)

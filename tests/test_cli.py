@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import main
+from repro.workloads import ALL_BENCHMARKS
 
 
 class TestList:
@@ -347,3 +348,126 @@ class TestDisasmAnnotate:
         out = capsys.readouterr().out
         assert "; connect-opt:" in out
         assert "static connects" in out
+
+
+class TestFrontEndMemo:
+    """``repro run``/``disasm``/``trace``/``check`` compile on the
+    process-wide front end of :func:`repro.experiments.front_end`."""
+
+    @pytest.fixture
+    def fronts(self, monkeypatch):
+        """The ``(level, unroll)`` of every front end computed from here
+        on, starting from a cleared memo."""
+        import repro.experiments.runner as runner_mod
+
+        computed = []
+        real = runner_mod.compile_front
+
+        def counting_front(module, options=None, *args, **kwargs):
+            computed.append((options.opt.level, options.opt.unroll_factor))
+            return real(module, options, *args, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "compile_front", counting_front)
+        runner_mod.clear_front_ends()
+        yield computed
+        runner_mod.clear_front_ends()
+
+    @staticmethod
+    def _run(capsys, argv):
+        assert main(argv) == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("rc", (False, True))
+    @pytest.mark.parametrize("bench", ALL_BENCHMARKS)
+    def test_second_run_reuses_the_front_end(self, bench, rc, fronts,
+                                             capsys):
+        from repro.experiments.runner import clear_front_ends
+
+        extra = ["--rc", "--model", "1"] if rc else []
+        first = ["run", bench, "--issue", "1", *extra]
+        second = ["run", bench, "--issue", "4", "--int-core", "8",
+                  "--fp-core", "16", "--load", "4", *extra]
+        self._run(capsys, first)
+        warm = self._run(capsys, second)
+        assert fronts == [("ilp", 4)]
+        clear_front_ends()
+        assert self._run(capsys, second) == warm
+        assert len(fronts) == 2
+
+    def test_memo_evicts_in_fifo_order(self, fronts, monkeypatch):
+        import repro.experiments.runner as runner_mod
+        from repro.compiler import CompileOptions, OptOptions
+
+        monkeypatch.setattr(runner_mod, "COMPILE_CACHE_CAP", 2)
+        ilp, scalar = (CompileOptions(opt=OptOptions(level=level))
+                       for level in ("ilp", "scalar"))
+        first = runner_mod.front_end("cmp", 1, ilp)
+        second = runner_mod.front_end("cmp", 1, scalar)
+        assert runner_mod.front_end("cmp", 1, ilp) is first  # a hit
+        # First in, first out: the hit above does not keep cmp/ilp.
+        runner_mod.front_end("grep", 1, ilp)
+        assert runner_mod.front_end("cmp", 1, scalar) is second
+        assert runner_mod.front_end("cmp", 1, ilp) is not first
+        assert fronts == [("ilp", 4), ("scalar", 4), ("ilp", 4), ("ilp", 4)]
+
+    def test_memo_under_racing_threads(self, monkeypatch):
+        """Threads racing over more keys than the cap: no lookup raises,
+        the memo never outgrows the cap, and each caller gets the front
+        end of the key it asked for."""
+        import sys
+        import threading
+        from types import SimpleNamespace
+
+        import repro.experiments.runner as runner_mod
+        from repro.compiler import CompileOptions
+
+        monkeypatch.setattr(runner_mod, "COMPILE_CACHE_CAP", 3)
+        monkeypatch.setattr(runner_mod, "workload", lambda name: (
+            SimpleNamespace(module=lambda scale: (name, scale))))
+        monkeypatch.setattr(runner_mod, "compile_front",
+                            lambda module, options, entry: module)
+        runner_mod.clear_front_ends()
+        options = CompileOptions()
+        errors, sizes = [], []
+
+        def hammer(offset):
+            try:
+                for i in range(300):
+                    name = "abcde"[(i + offset) % 5]
+                    module, front = runner_mod.front_end(name, 1, options)
+                    assert module == front == (name, 1)
+                    sizes.append(len(runner_mod._fronts))
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(k,))
+                       for k in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            runner_mod.clear_front_ends()
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(sizes) == 8 * 300 and max(sizes) <= 3
+
+    def test_profile_still_times_the_front_end(self, capsys):
+        import json
+
+        self._run(capsys, ["run", "cmp"])
+        doc = json.loads(self._run(
+            capsys, ["profile", "cmp", "--compile", "--json"]))
+        seconds = {row["pass"]: row["seconds"] for row in doc["passes"]}
+        assert seconds["optimize"] > 0 and seconds["profile"] > 0
+
+    def test_disasm_trace_and_check_share_it(self, fronts, capsys):
+        self._run(capsys, ["disasm", "grep", "--head", "3"])
+        self._run(capsys, ["trace", "grep", "--count", "3", "--rc"])
+        self._run(capsys, ["check", "grep", "--models", "1,3",
+                           "--jobs", "1"])
+        assert fronts == [("ilp", 4)]

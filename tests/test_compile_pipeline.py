@@ -314,6 +314,7 @@ class TestFrontBackSplit:
             return compile_front(module, options, *args, **kwargs)
 
         monkeypatch.setattr(runner_mod, "compile_front", counting_front)
+        runner_mod.clear_front_ends()
         runner = runner_mod.ExperimentRunner(cache_dir=tmp_path)
         narrow, wide = paper_machine(issue_width=1), paper_machine()
         runner.compile("cmp", narrow)
@@ -326,3 +327,8 @@ class TestFrontBackSplit:
         runner.compile("cmp", wide, unroll_factor=2)
         assert fronts == [("ilp", 4), ("scalar", 4), ("ilp", 2)]
         assert runner.compile_misses == 5
+        # The memo is process-wide: another runner shares its front ends.
+        other = runner_mod.ExperimentRunner(cache_dir=tmp_path / "other")
+        other.compile("cmp", narrow, opt_level="scalar")
+        assert fronts == [("ilp", 4), ("scalar", 4), ("ilp", 2)]
+        assert other.compile_misses == 1

@@ -308,6 +308,47 @@ class TestTiering:
         assert res.engine == "reference" and res.handoff_cycle is None
         assert res.stats == Simulator(prog, cfg).run().stats
 
+    def test_run_that_compiles_nothing_builds_no_driver(self, monkeypatch):
+        import repro.sim.fastpath as fastpath
+
+        def no_leaders(*_args):
+            raise AssertionError("driver set-up on a run with no hot block")
+
+        monkeypatch.setattr(fastpath, "program_leaders", no_leaders)
+        cfg = paper_machine(issue_width=2, rc_class=RClass.INT)
+        cold = _counted_loop(HOT_ENTRIES - 1)
+        res = simulate(cold, cfg)
+        assert res.engine == "reference"
+        _assert_same_run(res, Simulator(cold, cfg).run())
+
+    def test_hot_block_found_from_a_mid_block_resume(self):
+        """Resumed mid-block, a non-leader reaches its hot fetch count
+        before its leader does; the block still compiles at the leader's
+        hot entry and the run stays bit-exact."""
+        r6, r7 = PhysReg(RClass.INT, 6), PhysReg(RClass.INT, 7)
+        prog = assemble([
+            Instr(Opcode.LI, dest=r6, imm=0),
+            Instr(Opcode.ADD, dest=r6, srcs=(r6, Imm(1))),
+            Instr(Opcode.ADD, dest=r7, srcs=(r7, r6)),
+            Instr(Opcode.BLT, srcs=(r6, Imm(3 * HOT_ENTRIES)), label="loop"),
+            Instr(Opcode.STORE, srcs=(r7, Imm(0)), imm=500),
+            Instr(Opcode.HALT),
+        ], labels={"loop": 1})
+        cfg = paper_machine(issue_width=1, rc_class=RClass.INT)
+        ref = Simulator(prog, cfg).run()
+        for stop in range(1, 40):
+            sim = FastSimulator(copy.deepcopy(prog), cfg,
+                                threshold=HOT_ENTRIES)
+            sim.run(until_cycle=stop)
+            if sim._ref._pc == 2:
+                break
+        else:
+            pytest.fail("no segment stopped mid-block")
+        res = sim.run()
+        _assert_same_run(res, ref)
+        assert res.engine == "fast"
+        assert set(_code_cache[id(sim.program)][1][repr(cfg)].fast) == {1}
+
     @pytest.mark.parametrize("width", (1, 4))
     def test_block_compiles_at_its_hot_entry(self, width):
         cfg = paper_machine(issue_width=width, rc_class=RClass.INT)
