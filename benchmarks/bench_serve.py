@@ -16,9 +16,14 @@ its keep).  ``--smoke`` runs 1 and 4 clients with fewer jobs; the
 zero-failures gate still applies, the 2x gate is informational (tiny
 workloads under-amortize the HTTP overhead).
 
+The server always has :data:`WORKERS` workers, whatever the host has:
+cold throughput scales with the worker count and warm throughput does
+not, so the warm-over-cold ratio is only comparable across hosts at a
+fixed count.
+
 Usage::
 
-    python benchmarks/bench_serve.py [-o BENCH_serve.json] [--jobs N] [--smoke]
+    python benchmarks/bench_serve.py [-o BENCH_serve.json] [--smoke]
 """
 
 from __future__ import annotations
@@ -33,6 +38,8 @@ import harness
 from repro.serve import ServeClient, start_in_thread
 
 BENCHMARKS = ("cmp", "grep", "compress", "lex")
+#: The server's worker processes.
+WORKERS = 2
 
 ASM_TEMPLATE = """\
 ; bench_serve level={level} client={client} slot={slot}
@@ -110,11 +117,11 @@ def table(report: dict) -> tuple[list, list]:
 
 
 def main(argv=None) -> int:
-    args = harness.parse_args(__doc__, argv, "jobs", "smoke")
+    args = harness.parse_args(__doc__, argv, "smoke")
     levels = (1, 4) if args.smoke else (1, 8, 64)
     asm_slots = 1 if args.smoke else 2
     with tempfile.TemporaryDirectory(prefix="bench_serve_") as artifacts:
-        handle = start_in_thread(jobs=args.jobs, artifact_dir=artifacts)
+        handle = start_in_thread(jobs=WORKERS, artifact_dir=artifacts)
         try:
             results = []
             for level in levels:
@@ -135,7 +142,7 @@ def main(argv=None) -> int:
     if not args.smoke and top["warm_speedup"] < 2.0:
         problems.append(f"{top['clients']} clients: warm throughput only "
                         f"{top['warm_speedup']:.2f}x cold (gate 2x)")
-    body = {"levels": results,
+    body = {"workers": WORKERS, "levels": results,
             "server_stats": {key: stats[key] for key in
                              ("jobs", "artifacts", "runner_cache")}}
     return harness.finish(args, body, problems, table,

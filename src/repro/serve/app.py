@@ -2,9 +2,17 @@
 
 Dependency-free by construction: requests are framed by hand on top of
 ``asyncio.start_server`` streams (request line, headers, Content-Length
-body), one request per connection (``Connection: close``), responses are
-JSON documents — except the job event stream, which is newline-delimited
-JSON terminated by connection close.
+body), and responses are JSON documents with a Content-Length — except
+the job event stream, which is newline-delimited JSON terminated by
+connection close.
+
+Connections are HTTP/1.1 keep-alive: one connection serves requests in
+turn until the client closes it or sends ``Connection: close``.  The
+server closes it (saying ``Connection: close`` on the last response)
+after an event stream, a 413 (whose unread body must never be parsed as
+a request), a 500, an HTTP/1.0 request, or once draining; and it closes
+a connection left idle between requests for :data:`IDLE_TIMEOUT`
+seconds, or at once when the server drains.
 
 Routes:
 
@@ -17,11 +25,12 @@ Routes:
   events as NDJSON and finishes with the job document itself.
 * ``GET /v1/artifacts/<key>`` — fetch a stored result by fingerprint.
 * ``GET /v1/stats`` — scheduler, artifact-store, and worker-cache
-  counters.
+  counters, and per-phase job latency percentiles.
 * ``GET /healthz`` — liveness probe.
 
-``SIGTERM``/``SIGINT`` trigger a graceful drain: the listener closes,
-in-flight jobs finish, then the pool shuts down.
+``SIGTERM``/``SIGINT`` trigger a graceful drain: the listener and idle
+connections close, in-flight jobs finish and their waiting clients get
+their responses, then the pool shuts down.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import socket
 import threading
 from urllib.parse import parse_qs, unquote, urlsplit
 
@@ -42,6 +52,19 @@ MAX_HEADERS = 100
 #: Cap on ``?wait=`` long-polls so an abandoned connection cannot pin
 #: the handler forever.
 MAX_WAIT = 600.0
+#: A keep-alive connection idle this long between requests is closed.
+IDLE_TIMEOUT = 60.0
+
+
+class _Connection:
+    """One client connection, and whether it stays open after the
+    response being written."""
+
+    __slots__ = ("writer", "keep_alive")
+
+    def __init__(self, writer: asyncio.StreamWriter) -> None:
+        self.writer = writer
+        self.keep_alive = True
 
 
 class ServeApp:
@@ -60,6 +83,11 @@ class ServeApp:
         self._server = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._connections: set[asyncio.Task] = set()
+        #: Writers of connections waiting for their next request.
+        self._idle: set[asyncio.StreamWriter] = set()
+        self._closing = False
+        #: Connections accepted and requests read, over the server's life.
+        self.counters = {"connections": 0, "requests": 0}
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -81,13 +109,24 @@ class ServeApp:
         try:
             await self._stop.wait()
         finally:
+            # Stop accepting, and close every connection that is waiting
+            # for a request; busy ones close after their response.
+            self._closing = True
             self._server.close()
-            await self._server.wait_closed()
+            for writer in list(self._idle):
+                _close(writer)
             await self.scheduler.drain()
             # Let in-flight handlers (long-polls on now-terminal jobs,
             # event streams) flush their responses before the loop dies.
             if self._connections:
-                await asyncio.wait(self._connections, timeout=15)
+                _done, stuck = await asyncio.wait(self._connections,
+                                                  timeout=15)
+                for task in stuck:
+                    task.cancel()
+                if stuck:
+                    await asyncio.wait(stuck)
+            # Since Python 3.12 this waits for every connection to close.
+            await self._server.wait_closed()
 
     def stop(self) -> None:
         """Request shutdown; safe to call from any thread."""
@@ -102,32 +141,54 @@ class ServeApp:
         if task is not None:
             self._connections.add(task)
             task.add_done_callback(self._connections.discard)
+        self.counters["connections"] += 1
+        # drain() then waits until the kernel holds the whole response, so
+        # a connection is never closed with bytes still queued here.
+        writer.transport.set_write_buffer_limits(0)
+        conn = _Connection(writer)
         try:
-            request = await self._read_request(reader)
-            if request is not None:
-                await self._dispatch(writer, *request)
+            while conn.keep_alive and not self._closing:
+                request = await self._read_request(reader, writer)
+                if request is None:
+                    break
+                self.counters["requests"] += 1
+                method, target, version, headers, body = request
+                conn.keep_alive = (version == "HTTP/1.1" and
+                                   headers.get("connection", "").lower()
+                                   != "close")
+                await self._dispatch(conn, method, target, headers, body)
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         except Exception as exc:  # noqa: BLE001 - last-resort 500
+            conn.keep_alive = False
             try:
-                await self._respond(writer, 500,
+                await self._respond(conn, 500,
                                     {"error": "internal",
                                      "message": str(exc)})
             except (ConnectionError, RuntimeError):
                 pass
         finally:
+            _close(writer)
             try:
-                writer.close()
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):
                 pass
 
-    async def _read_request(self, reader: asyncio.StreamReader):
-        line = await reader.readline()
+    async def _read_request(self, reader: asyncio.StreamReader,
+                            writer: asyncio.StreamWriter):
+        # Idle until the request line arrives: the idle timer and drain
+        # close the connection, and readline() then sees EOF.
+        self._idle.add(writer)
+        timer = self._loop.call_later(IDLE_TIMEOUT, _close, writer)
+        try:
+            line = await reader.readline()
+        finally:
+            timer.cancel()
+            self._idle.discard(writer)
         if not line:
             return None
         try:
-            method, target, _version = line.decode("latin-1").split()
+            method, target, version = line.decode("latin-1").split()
         except ValueError:
             return None
         headers: dict[str, str] = {}
@@ -137,63 +198,69 @@ class ServeApp:
                 break
             name, _, value = raw.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
+        else:
+            return None  # the rest would be read as the next request
         length = int(headers.get("content-length", "0") or "0")
         if length > MAX_BODY:
-            return method, target, headers, None  # dispatched as 413
+            return method, target, version, headers, None  # 413
         body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
+        return method, target, version, headers, body
 
-    async def _respond(self, writer: asyncio.StreamWriter, status: int,
+    async def _respond(self, conn: _Connection, status: int,
                        payload: dict) -> None:
         body = (json.dumps(payload) + "\n").encode()
-        writer.write(
+        if self._closing:
+            conn.keep_alive = False
+        close = "" if conn.keep_alive else "Connection: close\r\n"
+        conn.writer.write(
             f"HTTP/1.1 {status} {_REASONS.get(status, 'OK')}\r\n"
             f"Content-Type: application/json\r\n"
             f"Content-Length: {len(body)}\r\n"
-            f"Connection: close\r\n\r\n".encode())
-        writer.write(body)
-        await writer.drain()
+            f"{close}\r\n".encode() + body)
+        await conn.writer.drain()
 
     # -- routing ---------------------------------------------------------------
 
-    async def _dispatch(self, writer, method: str, target: str,
+    async def _dispatch(self, conn: _Connection, method: str, target: str,
                         headers: dict, body: bytes | None) -> None:
         if body is None:
-            await self._respond(writer, 413, {"error": "payload-too-large"})
+            # The body is left unread: close rather than parse it.
+            conn.keep_alive = False
+            await self._respond(conn, 413, {"error": "payload-too-large"})
             return
         url = urlsplit(target)
         parts = [unquote(p) for p in url.path.strip("/").split("/")]
         query = {k: v[-1] for k, v in parse_qs(url.query).items()}
 
         if method == "POST" and parts == ["v1", "jobs"]:
-            await self._post_job(writer, headers, body)
+            await self._post_job(conn, headers, body)
         elif method == "GET" and len(parts) == 3 \
                 and parts[:2] == ["v1", "jobs"]:
-            await self._get_job(writer, parts[2], query)
+            await self._get_job(conn, parts[2], query)
         elif method == "GET" and len(parts) == 3 \
                 and parts[:2] == ["v1", "artifacts"]:
             artifact = self.scheduler.store.get(parts[2])
             if artifact is None:
-                await self._respond(writer, 404,
+                await self._respond(conn, 404,
                                     {"error": "unknown-artifact"})
             else:
-                await self._respond(writer, 200, artifact)
+                await self._respond(conn, 200, artifact)
         elif method == "GET" and parts == ["v1", "stats"]:
-            await self._respond(writer, 200, self.scheduler.stats())
+            await self._respond(conn, 200, self.scheduler.stats())
         elif method == "GET" and parts == ["healthz"]:
-            await self._respond(writer, 200, {"ok": True})
+            await self._respond(conn, 200, {"ok": True})
         else:
-            await self._respond(writer, 404, {"error": "unknown-route"})
+            await self._respond(conn, 404, {"error": "unknown-route"})
 
-    async def _post_job(self, writer, headers: dict, body: bytes) -> None:
+    async def _post_job(self, conn: _Connection, headers: dict, body: bytes) -> None:
         try:
             doc = json.loads(body.decode() or "{}")
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            await self._respond(writer, 400, {"error": "bad-json",
+            await self._respond(conn, 400, {"error": "bad-json",
                                               "message": str(exc)})
             return
         if not isinstance(doc, dict):
-            await self._respond(writer, 400,
+            await self._respond(conn, 400,
                                 {"error": "bad-json",
                                  "message": "body must be an object"})
             return
@@ -203,27 +270,27 @@ class ServeApp:
                                         doc.get("payload", {}),
                                         client=client)
         except BadRequest as exc:
-            await self._respond(writer, 400, {"error": "bad-request",
+            await self._respond(conn, 400, {"error": "bad-request",
                                               "message": str(exc)})
             return
         except RateLimited as exc:
-            await self._respond(writer, 429, {"error": "rate-limited",
+            await self._respond(conn, 429, {"error": "rate-limited",
                                               "message": str(exc)})
             return
         except ServerDraining as exc:
-            await self._respond(writer, 503, {"error": "draining",
+            await self._respond(conn, 503, {"error": "draining",
                                               "message": str(exc)})
             return
-        await self._respond(writer, 202 if not job.terminal else 200,
+        await self._respond(conn, 202 if not job.terminal else 200,
                             job.to_dict())
 
-    async def _get_job(self, writer, job_id: str, query: dict) -> None:
+    async def _get_job(self, conn: _Connection, job_id: str, query: dict) -> None:
         job = self.scheduler.get(job_id)
         if job is None:
-            await self._respond(writer, 404, {"error": "unknown-job"})
+            await self._respond(conn, 404, {"error": "unknown-job"})
             return
         if query.get("events"):
-            await self._stream_events(writer, job)
+            await self._stream_events(conn, job)
             return
         wait = query.get("wait")
         if wait and not job.terminal:
@@ -232,15 +299,17 @@ class ServeApp:
             except ValueError:
                 timeout = MAX_WAIT
             await self.scheduler.wait(job, timeout=timeout)
-        await self._respond(writer, 200, job.to_dict())
+        await self._respond(conn, 200, job.to_dict())
 
-    async def _stream_events(self, writer, job) -> None:
+    async def _stream_events(self, conn: _Connection, job) -> None:
         """NDJSON event stream: replay, then follow until terminal.
 
         The body is EOF-delimited (``Connection: close``); the final
         line is the job document itself, so a consumer that reads to
         EOF always ends holding the result.
         """
+        conn.keep_alive = False
+        writer = conn.writer
         writer.write(b"HTTP/1.1 200 OK\r\n"
                      b"Content-Type: application/x-ndjson\r\n"
                      b"Connection: close\r\n\r\n")
@@ -264,6 +333,22 @@ class ServeApp:
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request", 404: "Not Found",
             413: "Payload Too Large", 429: "Too Many Requests",
             500: "Internal Server Error", 503: "Service Unavailable"}
+
+
+def _close(writer: asyncio.StreamWriter) -> None:
+    """Close a connection so that its client sees EOF now.
+
+    Pool workers forked while the connection was open hold copies of its
+    socket, and a plain close only drops this process's copy; a shutdown
+    ends the connection itself.  It is skipped while a response is still
+    queued, which the close then flushes.
+    """
+    if not writer.transport.get_write_buffer_size():
+        try:
+            writer.get_extra_info("socket").shutdown(socket.SHUT_RDWR)
+        except (AttributeError, OSError):
+            pass  # already closed
+    writer.close()
 
 
 class ServerHandle:

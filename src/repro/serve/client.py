@@ -1,16 +1,22 @@
 """Blocking HTTP client for the serve subsystem.
 
-Built on :mod:`http.client` (stdlib), one connection per request to
-match the server's ``Connection: close`` framing.  Used by the test
-suite, ``benchmarks/bench_serve.py``, and the ``repro fuzz --serve``
-replay path; it is also the reference for anyone scripting the service
-from outside this repository.
+Built on :mod:`http.client` (stdlib).  Each thread that uses a client
+keeps one HTTP/1.1 keep-alive connection to the server and sends all its
+requests over it; :meth:`ServeClient.close` (or leaving a ``with``
+block) closes them.  A request sent on a reused connection that the
+server has meanwhile closed (its idle timeout, or a drain) is sent once
+more on a fresh connection.  Event streams use a connection of their
+own, which the server closes at the end of the stream.  Used by the
+test suite, ``benchmarks/bench_serve.py``, and the ``repro fuzz
+--serve`` replay path; it is also the reference for anyone scripting
+the service from outside this repository.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import threading
 import time
 from urllib.parse import urlsplit
 
@@ -43,7 +49,9 @@ class JobFailed(ReproError):
 
 
 class ServeClient:
-    """A client bound to one server base URL."""
+    """A client of one server, with one keep-alive connection per thread.
+
+    :meth:`close` closes them; so does leaving a ``with`` block."""
 
     def __init__(self, base_url: str, client_id: str = "-",
                  timeout: float = 300.0) -> None:
@@ -53,29 +61,61 @@ class ServeClient:
         self.port = split.port or 80
         self.client_id = client_id
         self.timeout = timeout
+        self._local = threading.local()
+        self._lock = threading.Lock()
+        self._conns: list[http.client.HTTPConnection] = []
+
+    def close(self) -> None:
+        """Close every thread's connection.  The client stays usable: a
+        later request opens a new one."""
+        with self._lock:
+            conns = list(self._conns)
+        for conn in conns:
+            conn.close()
+
+    def __enter__(self) -> ServeClient:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # -- low-level -------------------------------------------------------------
 
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = http.client.HTTPConnection(
+                self.host, self.port, timeout=self.timeout)
+            with self._lock:
+                self._conns.append(conn)
+        return conn
+
     def _request(self, method: str, path: str, body: dict | None = None):
-        conn = http.client.HTTPConnection(self.host, self.port,
-                                          timeout=self.timeout)
+        payload = json.dumps(body).encode() if body is not None else None
+        headers = {"Content-Type": "application/json",
+                   "X-Repro-Client": self.client_id}
+        conn = self._connection()
+        # http.client drops the socket after a ``Connection: close``
+        # response, and reconnects on the next request.
+        reused = conn.sock is not None
         try:
-            payload = json.dumps(body).encode() if body is not None else None
-            conn.request(method, path, body=payload,
-                         headers={"Content-Type": "application/json",
-                                  "X-Repro-Client": self.client_id})
-            response = conn.getresponse()
-            data = response.read()
-        finally:
-            conn.close()
+            status, data = _exchange(conn, method, path, payload, headers)
+        except (ConnectionResetError, ConnectionAbortedError,
+                BrokenPipeError):
+            # RemoteDisconnected is a ConnectionResetError.  The server
+            # closes a connection unanswered only while it waits for a
+            # request, so on a reused connection this request was never
+            # served: send it again on a fresh one.
+            if not reused:
+                raise
+            status, data = _exchange(conn, method, path, payload, headers)
         try:
             doc = json.loads(data.decode() or "{}")
         except json.JSONDecodeError as exc:
-            raise ServeError(response.status,
-                             {"error": "bad-response",
-                              "message": str(exc)}) from None
-        if response.status >= 400:
-            raise ServeError(response.status, doc)
+            raise ServeError(status, {"error": "bad-response",
+                                      "message": str(exc)}) from None
+        if status >= 400:
+            raise ServeError(status, doc)
         return doc
 
     # -- API -------------------------------------------------------------------
@@ -142,3 +182,16 @@ class ServeClient:
             return bool(self._request("GET", "/healthz").get("ok"))
         except (OSError, ReproError):
             return False
+
+
+def _exchange(conn: http.client.HTTPConnection, method: str, path: str,
+              payload: bytes | None, headers: dict) -> tuple[int, bytes]:
+    """One request and its whole response on *conn*: (status, body).
+    Any failure closes *conn*, whose state is then unknown."""
+    try:
+        conn.request(method, path, body=payload, headers=headers)
+        response = conn.getresponse()
+        return response.status, response.read()
+    except BaseException:
+        conn.close()
+        raise

@@ -12,22 +12,30 @@ The scheduler owns the worker pool and everything around it:
   :class:`~repro.store.Store` completes instantly, without touching the pool;
 * **in-flight coalescing** — concurrent identical submissions attach to
   the one running computation and all complete when it does;
-* **progress fan-in** — a drain thread moves worker events (lifecycle
-  markers, sampled simulator events, sweep progress) from the manager
-  queue onto the event loop, appending them to per-job event logs that
-  the HTTP layer streams as NDJSON;
+* **progress fan-in** — worker events (lifecycle markers, sampled
+  simulator events, sweep progress) arrive over one
+  ``multiprocessing.Pipe`` whose read end the event loop watches
+  (``loop.add_reader``); they are appended to per-job event logs that
+  the HTTP layer streams as NDJSON.  Every event is one atomic pipe
+  write (see :mod:`repro.serve.workers`), so a worker killed mid-job
+  cannot tear or wedge the channel;
+* **phase timing** — each computed job's ``meta["phases"]`` splits its
+  time into queue (admission to worker start), worker, return (worker
+  end to result and ``finished`` event on the loop) and finalize
+  (artifact write); ``stats()`` reports p50/p99 per phase over the last
+  :data:`PHASE_WINDOW` jobs;
 * **graceful drain** — stop admitting, let in-flight jobs finish,
   shut the pool down.
 
-Everything here runs on the event-loop thread except the drain thread,
-which only ever hands events over via ``call_soon_threadsafe``.
+Everything here runs on the event-loop thread.
 """
 
 from __future__ import annotations
 
 import asyncio
+import collections
 import multiprocessing
-import threading
+import pickle
 import time
 import uuid
 from concurrent.futures import ProcessPoolExecutor
@@ -45,8 +53,10 @@ JOB_HISTORY_CAP = 4096
 #: Per-job event log cap (the worker-side EventForwarder limit is lower;
 #: this is a second line of defence for lifecycle/sweep streams).
 EVENT_LOG_CAP = 16_384
-
-_QUEUE_SENTINEL = None
+#: Recent computed jobs the per-phase latency percentiles cover.
+PHASE_WINDOW = 1024
+#: The phases of ``meta["phases"]``, in the order a job passes them.
+PHASES = ("queue", "worker", "return", "finalize")
 
 
 class RateLimited(ReproError):
@@ -72,13 +82,15 @@ class Job:
     from_cache: bool = False
     coalesced_with: str | None = None
     created: float = 0.0
+    #: ``perf_counter`` at admission, the start of the queue phase.
+    admitted: float = 0.0
     finished: float | None = None
     meta: dict = field(default_factory=dict)
     events: list = field(default_factory=list)
     followers: list = field(default_factory=list)
     changed: asyncio.Event = field(default_factory=asyncio.Event)
-    #: Set when the worker's terminal lifecycle event has drained through
-    #: the progress queue — finalization waits for it so event streams
+    #: Set when the worker's terminal lifecycle event has arrived through
+    #: the event pipe — finalization waits for it so event streams
     #: always carry the complete log before the job turns terminal.
     worker_done: asyncio.Event = field(default_factory=asyncio.Event)
 
@@ -128,36 +140,35 @@ class Scheduler:
         self.counters = {"submitted": 0, "completed": 0, "failed": 0,
                          "coalesced": 0, "artifact_hits": 0}
         self.runner_counters: dict[str, int] = {}
+        self.events_dropped = 0
+        self.phases = {name: collections.deque(maxlen=PHASE_WINDOW)
+                       for name in PHASES}
         self.draining = False
         self.started_at = time.time()
         self._inflight: dict[str, Job] = {}
         self._tasks: set[asyncio.Task] = set()
         self._loop: asyncio.AbstractEventLoop | None = None
         self._pool: ProcessPoolExecutor | None = None
-        self._manager = None
-        self._queue = None
-        self._drain_thread: threading.Thread | None = None
+        self._events = None      # the event pipe's read end (this process)
+        self._events_out = None  # its write end, handed to every worker
 
     # -- lifecycle -------------------------------------------------------------
 
     def start(self) -> None:
-        """Bring up the manager queue, worker pool, and drain thread.
+        """Bring up the event pipe and the worker pool.
 
         Must be called from within the event loop that will own the
         scheduler (the HTTP server's loop).
         """
         self._loop = asyncio.get_running_loop()
-        self._manager = multiprocessing.Manager()
-        self._queue = self._manager.Queue()
+        self._events, self._events_out = multiprocessing.Pipe(duplex=False)
+        self._loop.add_reader(self._events.fileno(), self._read_event)
         self._pool = self._new_pool()
-        self._drain_thread = threading.Thread(
-            target=self._drain_events, name="serve-event-drain", daemon=True)
-        self._drain_thread.start()
 
     def _new_pool(self) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
             max_workers=self.workers, initializer=init_worker,
-            initargs=(self._queue, self.artifact_dir))
+            initargs=(self._events_out, self.artifact_dir))
 
     async def drain(self) -> None:
         """Graceful shutdown: finish in-flight jobs, tear everything down."""
@@ -166,34 +177,18 @@ class Scheduler:
             await asyncio.gather(*self._tasks, return_exceptions=True)
         if self._pool is not None:
             self._pool.shutdown(wait=True)
-        if self._queue is not None:
-            try:
-                self._queue.put(_QUEUE_SENTINEL)
-            except Exception:  # noqa: BLE001 - manager already gone
-                pass
-        if self._drain_thread is not None:
-            self._drain_thread.join(timeout=5)
-        if self._manager is not None:
-            self._manager.shutdown()
+        if self._events is not None:
+            self._loop.remove_reader(self._events.fileno())
+            self._events.close()
+            self._events_out.close()
+            self._events = self._events_out = None
 
     # -- event fan-in ----------------------------------------------------------
 
-    def _drain_events(self) -> None:
-        """Drain-thread body: manager queue -> event loop."""
-        while True:
-            try:
-                event = self._queue.get()
-            except (EOFError, OSError):
-                return
-            if event is _QUEUE_SENTINEL:
-                return
-            loop = self._loop
-            if loop is None or loop.is_closed():
-                return
-            try:
-                loop.call_soon_threadsafe(self._record_event, event)
-            except RuntimeError:
-                return  # loop shut down between the check and the call
+    def _read_event(self) -> None:
+        """Reader callback: one whole event off the pipe.  Each event
+        was one atomic write, so a readable pipe holds all of it."""
+        self._record_event(pickle.loads(self._events.recv_bytes()))
 
     def _record_event(self, event: dict) -> None:
         job = self.jobs.get(event.get("job", ""))
@@ -232,7 +227,8 @@ class Scheduler:
                                      if requested else self.max_cycles_cap)
         key = job_fingerprint(kind, payload)
         job = Job(id=uuid.uuid4().hex[:16], kind=kind, payload=payload,
-                  key=key, client=client, created=time.time())
+                  key=key, client=client, created=time.time(),
+                  admitted=time.perf_counter())
         self.counters["submitted"] += 1
         self._register(job)
 
@@ -287,13 +283,17 @@ class Scheduler:
         while True:
             try:
                 status, body, meta = await asyncio.wrap_future(future)
-                # The pool future can complete before the worker's queued
-                # events have drained; wait for the terminal lifecycle
-                # marker so the event log is complete at finalization.
-                try:
-                    await asyncio.wait_for(job.worker_done.wait(), timeout=5)
-                except asyncio.TimeoutError:
-                    pass  # queue lost during shutdown; finalize anyway
+                # The pool future can complete before the loop has read
+                # the worker's events off the pipe; wait for the terminal
+                # lifecycle marker so the event log is complete at
+                # finalization.  It is usually in already, and wait_for
+                # costs a task and loop turns.
+                if not job.worker_done.is_set():
+                    try:
+                        await asyncio.wait_for(job.worker_done.wait(),
+                                               timeout=5)
+                    except asyncio.TimeoutError:
+                        pass  # pipe closed during shutdown; finalize anyway
             except Exception as exc:  # noqa: BLE001 - pool broke underneath
                 # A broken pool fails every job it held: one handed to it
                 # as it died, and one a healthy worker was running when
@@ -316,9 +316,11 @@ class Scheduler:
 
     def _finalize(self, job: Job, status: str, body: dict,
                   meta: dict) -> None:
+        seen = time.perf_counter()
         for name, value in meta.get("counters", {}).items():
             self.runner_counters[name] = \
                 self.runner_counters.get(name, 0) + value
+        self.events_dropped += meta.get("events_dropped", 0)
         if status == "ok":
             job.status = "done"
             job.result = body
@@ -328,6 +330,8 @@ class Scheduler:
             job.status = "error"
             job.error = body
             self.counters["failed"] += 1
+        if "t_start" in meta:
+            self._time_phases(job, meta, seen)
         job.meta = meta
         job.finished = time.time()
         self._inflight.pop(job.key, None)
@@ -344,6 +348,18 @@ class Scheduler:
                 self.counters["failed"] += 1
             follower._touch()
         job.followers = []
+
+    def _time_phases(self, job: Job, meta: dict, seen: float) -> None:
+        """Replace the worker's clock readings in *meta* with the job's
+        phases, in seconds, and add them to the stats window."""
+        start, end = meta.pop("t_start"), meta.pop("t_end")
+        phases = {"queue": start - job.admitted, "worker": meta["elapsed"],
+                  "return": seen - end,
+                  "finalize": time.perf_counter() - seen}
+        for name, value in phases.items():
+            self.phases[name].append(value)
+        meta["phases"] = {name: round(value, 6)
+                          for name, value in phases.items()}
 
     # -- queries ---------------------------------------------------------------
 
@@ -380,4 +396,18 @@ class Scheduler:
             "artifacts": self.store.counters(),
             "runner_cache": dict(self.runner_counters),
             "rate_limited": self.limiter.rejected,
+            "events_dropped": self.events_dropped,
+            "phases": {name: _percentiles_ms(values)
+                       for name, values in self.phases.items()},
         }
+
+
+def _percentiles_ms(values) -> dict:
+    """The p50 and p99 of *values* (seconds), in milliseconds."""
+    ordered = sorted(values)
+    if not ordered:
+        return {"jobs": 0}
+    last = len(ordered) - 1
+    return {"jobs": len(ordered),
+            "p50_ms": round(1e3 * ordered[last // 2], 3),
+            "p99_ms": round(1e3 * ordered[(last * 99 + 50) // 100], 3)}

@@ -14,15 +14,22 @@ jobs for the life of the process:
 Workers never raise across the pool boundary: :func:`execute_job`
 classifies every failure into a structured ``(type, message)`` error so
 the scheduler can report it without unpickling foreign exceptions.
-Progress flows the other way through a ``multiprocessing`` manager
-queue — lifecycle markers from this module, simulator events via
-:class:`repro.observe.EventForwarder`.
+Progress flows the other way through the write end of one
+``multiprocessing.Pipe`` shared by every worker: lifecycle markers from
+this module, simulator events via :class:`repro.observe.EventForwarder`.
+Each event is one pickled message written by a single ``send_bytes`` of
+at most ``PIPE_BUF`` bytes, header included, so the kernel writes it
+whole: concurrent workers never interleave, and a worker killed at any
+point leaves no torn message and holds no lock.  A larger event is
+dropped and counted (``meta["events_dropped"]``), never split.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
+import pickle
+import select
 import time
 import traceback
 
@@ -36,8 +43,13 @@ from repro.serve.wire import effective_config, options_from_payload
 
 #: Parsed-assembly cache size (FIFO eviction).
 PARSE_CACHE_CAP = 128
+#: Largest pickled event sent: ``send_bytes`` adds a 4-byte length
+#: header, and a pipe write of at most ``PIPE_BUF`` bytes is atomic.
+MAX_EVENT_BYTES = select.PIPE_BUF - 4
 
-_QUEUE = None
+_EVENTS = None
+#: Events dropped for size since this worker started.
+_DROPPED = 0
 _RECORDS_DIR: str | None = None
 _RUNNERS: dict = {}
 _PARSED: dict = {}
@@ -46,19 +58,26 @@ _PARSED: dict = {}
 _JOB_META: dict = {}
 
 
-def init_worker(queue, artifact_dir: str) -> None:
-    """Pool initializer: wire up the progress queue and cache root."""
-    global _QUEUE, _RECORDS_DIR
-    _QUEUE = queue
+def init_worker(events, artifact_dir: str) -> None:
+    """Pool initializer: wire up the event pipe's write end and the
+    cache root."""
+    global _EVENTS, _RECORDS_DIR
+    _EVENTS = events
     _RECORDS_DIR = os.path.join(artifact_dir, "records")
 
 
 def _put(event: dict) -> None:
-    if _QUEUE is not None:
-        try:
-            _QUEUE.put(event)
-        except Exception:  # noqa: BLE001 - queue gone during shutdown
-            pass
+    global _DROPPED
+    if _EVENTS is None:
+        return
+    data = pickle.dumps(event, pickle.HIGHEST_PROTOCOL)
+    if len(data) > MAX_EVENT_BYTES:
+        _DROPPED += 1
+        return
+    try:
+        _EVENTS.send_bytes(data)
+    except OSError:
+        pass  # the server closed its end during shutdown
 
 
 def _runner(scale: int, engine: str | None):
@@ -150,7 +169,7 @@ def _note_engine(result) -> None:
 
 def _observing_simulate(job_id: str, program, config):
     """Reference-engine run with the observe event bus forwarding
-    sampled events to the parent through the progress queue."""
+    sampled events to the parent through the event pipe."""
     from repro.observe import EventForwarder, Observer
     from repro.sim import Simulator
 
@@ -290,9 +309,14 @@ def execute_job(job_id: str, kind: str, payload: dict) -> tuple:
     stats aggregation (workers are forked copies, so counters must be
     shipped home explicitly — same discipline as the sweep executor).  A
     job that simulated also reports its ``engine`` (and, when generated
-    code took over part-way, ``handoff_cycle``).
+    code took over part-way, ``handoff_cycle``); one whose events were
+    too large to send reports ``events_dropped``.  ``t_start`` and
+    ``t_end`` are the job's ``perf_counter`` readings, which the parent
+    compares with its own (CLOCK_MONOTONIC on Linux, shared by every
+    process) to time the queue and return phases.
     """
     started = time.perf_counter()
+    dropped = _DROPPED
     _put({"job": job_id, "stream": "lifecycle", "type": "started",
           "pid": os.getpid(), "kind": kind})
     before = {key: runner.counters() for key, runner in _RUNNERS.items()}
@@ -310,9 +334,12 @@ def execute_job(job_id: str, kind: str, payload: dict) -> tuple:
         prior = before.get(key, {})
         for name, value in runner.counters().items():
             delta[name] = delta.get(name, 0) + value - prior.get(name, 0)
-    meta = {"pid": os.getpid(),
-            "elapsed": time.perf_counter() - started,
+    ended = time.perf_counter()
+    meta = {"pid": os.getpid(), "elapsed": ended - started,
+            "t_start": started, "t_end": ended,
             "counters": delta, **_JOB_META}
+    if _DROPPED > dropped:
+        meta["events_dropped"] = _DROPPED - dropped
     _put({"job": job_id, "stream": "lifecycle", "type": "finished",
           "status": status, "elapsed": round(meta["elapsed"], 6)})
     return status, body, meta

@@ -6,7 +6,9 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import pickle
 import signal
+import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -28,6 +30,7 @@ from repro.serve import (
     start_in_thread,
     validate_payload,
 )
+from repro.serve import app as serve_app
 from repro.serve import workers as serve_workers
 from repro.sim import paper_machine, unlimited_machine
 from repro.store import Store
@@ -557,6 +560,201 @@ def _park_then_simulate(job_id: str, payload: dict) -> dict:
     while (not os.path.exists(os.path.join(park, "go"))
            and time.monotonic() < deadline):
         time.sleep(0.01)
+    return _SIMULATE(job_id, payload)
+
+
+def _raw_exchange(url: str, request: bytes) -> bytes:
+    """Send *request* bytes on a fresh socket and read until the server
+    closes the connection (a reset counts as closing it)."""
+    host, port = url.rsplit("/", 1)[-1].split(":")
+    chunks = []
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(request)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass
+    return b"".join(chunks)
+
+
+class TestKeepAlive:
+    def test_one_connection_serves_many_requests(self, server):
+        with ServeClient(server.url, client_id="keepalive") as c:
+            assert c.healthy()
+            before = dict(server.app.counters)
+            for k in range(5):
+                assert c.healthy()
+                c.run("simulate", {"asm": SUM_LOOP, "machine": {"issue": 1},
+                                   "max_cycles": 10_000 + k})
+            after = dict(server.app.counters)
+        # Each job is a submit plus at least one wait.
+        assert after["requests"] - before["requests"] >= 15
+        assert after["connections"] == before["connections"]
+
+    def test_connection_close_is_honoured(self, server):
+        reply = _raw_exchange(server.url, b"GET /healthz HTTP/1.1\r\n"
+                                          b"Connection: close\r\n\r\n")
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 200")
+        assert b"Connection: close" in head
+        assert json.loads(body) == {"ok": True}
+
+    def test_oversized_body_closes_unparsed(self, server):
+        before = server.app.counters["requests"]
+        smuggled = b"GET /healthz HTTP/1.1\r\n\r\n"
+        reply = _raw_exchange(
+            server.url,
+            b"POST /v1/jobs HTTP/1.1\r\nContent-Length: %d\r\n\r\n"
+            % (serve_app.MAX_BODY + 1) + smuggled)
+        assert reply.startswith(b"HTTP/1.1 413")
+        assert reply.count(b"HTTP/1.1") == 1
+        assert b"Connection: close" in reply
+        assert server.app.counters["requests"] - before == 1
+
+    def test_header_flood_closes_unparsed(self, server):
+        before = server.app.counters["requests"]
+        flood = b"".join(b"X-Pad-%d: 1\r\n" % k
+                         for k in range(serve_app.MAX_HEADERS + 1))
+        reply = _raw_exchange(server.url, b"GET /healthz HTTP/1.1\r\n" + flood
+                              + b"\r\nGET /healthz HTTP/1.1\r\n\r\n")
+        assert reply == b""
+        assert server.app.counters["requests"] == before
+
+    def test_event_stream_ends_at_eof(self, server, client):
+        job = client.wait(client.submit("check", {"asm": SUM_LOOP + "\n"}))
+        reply = _raw_exchange(server.url, f"GET /v1/jobs/{job['id']}?events=1"
+                                          f" HTTP/1.1\r\n\r\n".encode())
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert b"Connection: close" in head
+        last = json.loads(body.splitlines()[-1])
+        assert last["type"] == "job" and last["id"] == job["id"]
+        # The client's own keep-alive connection is untouched.
+        assert client.healthy()
+
+    def test_reconnects_once_after_idle_close(self, own_server, monkeypatch):
+        monkeypatch.setattr(serve_app, "IDLE_TIMEOUT", 0.2)
+        c = ServeClient(own_server.url, timeout=10)
+        # The pool forks its workers during this job, while the client's
+        # connection is open, so they hold copies of its socket.
+        assert c.run("simulate", {"asm": SUM_LOOP})["cycles"] > 0
+        time.sleep(0.6)
+        opened = own_server.app.counters["connections"]
+        started = time.monotonic()
+        assert c.healthy()
+        assert time.monotonic() - started < 2
+        assert own_server.app.counters["connections"] == opened + 1
+        c.close()
+
+    def test_stop_is_prompt_with_idle_clients(self, tmp_path):
+        handle = start_in_thread(jobs=1, artifact_dir=str(tmp_path))
+        clients = [ServeClient(handle.url) for _ in range(2)]
+        for c in clients:
+            c.run("check", {"asm": SUM_LOOP})
+        started = time.monotonic()
+        handle.stop()
+        assert time.monotonic() - started < 2
+        assert not handle.thread.is_alive()
+        assert not clients[0].healthy()
+
+
+class TestEventChannel:
+    def test_event_at_the_bound_is_sent_whole(self, monkeypatch):
+        reader, writer = multiprocessing.Pipe(duplex=False)
+        monkeypatch.setattr(serve_workers, "_EVENTS", writer)
+        monkeypatch.setattr(serve_workers, "_DROPPED", 0)
+        overhead = len(pickle.dumps({"pad": "x" * 300},
+                                    pickle.HIGHEST_PROTOCOL)) - 300
+        fits = serve_workers.MAX_EVENT_BYTES - overhead
+        serve_workers._put({"pad": "x" * fits})
+        assert reader.poll(5)
+        assert pickle.loads(reader.recv_bytes()) == {"pad": "x" * fits}
+        serve_workers._put({"pad": "x" * (fits + 1)})
+        assert serve_workers._DROPPED == 1
+        assert not reader.poll(0.1)
+        reader.close()
+        writer.close()
+
+    def test_oversized_event_dropped_and_counted(self, own_server,
+                                                 monkeypatch):
+        monkeypatch.setitem(serve_workers._KINDS, "simulate",
+                            _big_event_then_simulate)
+        c = ServeClient(own_server.url)
+        job = c.wait(c.submit("simulate", {"asm": SUM_LOOP}))
+        assert job["status"] == "done"
+        assert job["meta"]["events_dropped"] == 1
+        events = list(c.events(job["id"]))
+        types = [e.get("type") for e in events]
+        assert "after-big" in types and "big" not in types
+        assert c.stats()["events_dropped"] == 1
+
+    def test_worker_killed_while_writing(self, own_server, tmp_path,
+                                         monkeypatch):
+        """A worker SIGKILLed while it floods the event pipe leaves the
+        channel whole: its retried job and later jobs record their
+        lifecycle, and their event streams end."""
+        park = tmp_path / "park"
+        park.mkdir()
+        monkeypatch.setitem(_PARK, "dir", str(park))
+        monkeypatch.setitem(serve_workers._KINDS, "simulate",
+                            _flood_then_simulate)
+        c = ServeClient(own_server.url)
+        warm = c.wait(c.submit("compile", {"asm": "halt\n"}))
+        assert warm["status"] == "done"
+        job = c.submit("simulate", {"asm": SUM_LOOP})
+        deadline = time.monotonic() + 30
+        while not list(park.iterdir()) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        (flooder,) = [int(f.name) for f in park.iterdir()]
+        time.sleep(0.1)  # mid-flood
+        os.kill(flooder, signal.SIGKILL)
+        (park / "go").touch()
+        job = c.wait(job, timeout=60)
+        assert job["status"] == "done", job.get("error")
+        for k in range(4):
+            later = c.submit("check", {"asm": SUM_LOOP + f"; later {k}\n"})
+            events = list(c.events(later["id"]))
+            lifecycle = [e["type"] for e in events
+                         if e.get("stream") == "lifecycle"]
+            assert lifecycle == ["started", "finished"]
+            assert events[-1]["type"] == "job"
+            assert events[-1]["status"] == "done"
+
+    def test_phases_in_meta_and_stats(self, client):
+        job = client.wait(client.submit(
+            "simulate", {"asm": SUM_LOOP, "machine": {"issue": 1},
+                         "max_cycles": 9_999}))
+        phases = job["meta"]["phases"]
+        assert list(phases) == ["queue", "worker", "return", "finalize"]
+        assert all(value >= 0 for value in phases.values())
+        assert phases["worker"] == round(job["meta"]["elapsed"], 6)
+        assert "t_start" not in job["meta"]
+        stats = client.stats()["phases"]
+        assert set(stats) == set(phases)
+        assert stats["queue"]["jobs"] >= 1
+        assert stats["worker"]["p50_ms"] <= stats["worker"]["p99_ms"]
+
+
+def _big_event_then_simulate(job_id: str, payload: dict) -> dict:
+    serve_workers._put({"job": job_id, "stream": "observe", "type": "big",
+                        "pad": "x" * serve_workers.MAX_EVENT_BYTES})
+    serve_workers._put({"job": job_id, "stream": "observe",
+                        "type": "after-big"})
+    return _SIMULATE(job_id, payload)
+
+
+def _flood_then_simulate(job_id: str, payload: dict) -> dict:
+    """Send events without pause until the file ``go`` exists, leaving a
+    file named after this worker's pid while flooding."""
+    park = _PARK["dir"]
+    open(os.path.join(park, str(os.getpid())), "w").close()
+    deadline = time.monotonic() + 60
+    n = 0
+    while (not os.path.exists(os.path.join(park, "go"))
+           and time.monotonic() < deadline):
+        n += 1
+        serve_workers._put({"job": job_id, "stream": "observe",
+                            "type": "flood", "n": n, "pad": "x" * 2000})
     return _SIMULATE(job_id, payload)
 
 
